@@ -17,7 +17,6 @@
 #include "src/index/query_optimizer.h"
 #include "src/support/metric_names.h"
 #include "src/support/metrics.h"
-#include "src/support/thread_pool.h"
 #include "src/support/trace.h"
 #include "src/vfs/path.h"
 
@@ -39,12 +38,6 @@ struct EngineMetrics {
   Counter& transient_added = reg.GetCounter(metric_names::kLinksTransientAdded);
   Counter& transient_removed = reg.GetCounter(metric_names::kLinksTransientRemoved);
   Histogram& pass_us = reg.GetHistogram(metric_names::kConsistencyPassUs);
-  Histogram& parallel_levels =
-      reg.GetHistogram(metric_names::kConsistencyParallelLevels, "levels");
-  Histogram& parallel_width =
-      reg.GetHistogram(metric_names::kConsistencyParallelWidth, "dirs");
-  Histogram& parallel_barrier_wait_ns =
-      reg.GetHistogram(metric_names::kConsistencyParallelBarrierWaitNs, "ns");
 };
 
 EngineMetrics& GM() {
@@ -219,8 +212,6 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
   const uint64_t short_circuits_before = host_->stats_.short_circuit_propagations;
   in_pass_ = true;
   ++gen_;
-  // Both serial and parallel passes visit the flattened wavefront schedule, so the
-  // VFS mutation order — and with it symlink names and inode numbers — is identical.
   std::vector<std::vector<DirUid>> levels;
   if (full) {
     levels = host_->graph_.FullLevels();
@@ -232,12 +223,6 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
     }
     levels = host_->graph_.AffectedInLevels(sources);
   }
-  size_t visited = 0;
-  size_t max_width = 0;
-  for (const auto& level : levels) {
-    visited += level.size();
-    max_width = std::max(max_width, level.size());
-  }
   // How each directory's contents changed within THIS pass, seeded with the origins'
   // mutation deltas. dir() dependents re-evaluate exactly over these docs.
   std::unordered_map<DirUid, Bitmap> contents_delta;
@@ -246,60 +231,27 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
       contents_delta[uid] |= delta;
     }
   }
-  // Semantic mounts force serial visits: ImportRemoteResults rehashes metadata_ and
-  // logs docs mid-pass, which concurrent planners must never observe.
-  const bool parallel =
-      pool_ != nullptr && parallel_width_ > 1 && host_->mounts_.semantic().empty();
-  uint64_t barrier_wait_ns = 0;
+  size_t visited = 0;
   Result<void> status = OkResult();
   for (const auto& level : levels) {
+    for (DirUid uid : level) {
+      status = VisitIncremental(uid, origins, &contents_delta);
+      if (!status.ok()) {
+        break;
+      }
+      ++visited;
+    }
     if (!status.ok()) {
       break;
-    }
-    if (parallel && level.size() > 1) {
-      // Plan the whole level concurrently (read-only), then apply serially in
-      // ascending-uid order — the same order the serial engine uses.
-      std::vector<VisitPlan> plans(level.size());
-      barrier_wait_ns += ParallelFor(
-          pool_, parallel_width_ - 1, level.size(), [&, this](size_t i) {
-            plans[i] = PlanVisit(level[i], origins, contents_delta,
-                                 /*after_import=*/false);
-          });
-      for (VisitPlan& plan : plans) {
-        if (plan.action == VisitPlan::Action::kNeedsImport) {
-          // Unreachable while the mount gate above holds (a mount added mid-pass
-          // would have to come from a visit, which never mounts); recover serially.
-          status = VisitIncremental(plan.uid, origins, &contents_delta);
-        } else {
-          status = ApplyVisit(&plan, &contents_delta);
-        }
-        if (!status.ok()) {
-          break;
-        }
-      }
-    } else {
-      for (DirUid uid : level) {
-        status = VisitIncremental(uid, origins, &contents_delta);
-        if (!status.ok()) {
-          break;
-        }
-      }
     }
   }
   in_pass_ = false;
   GM().passes.Inc();
   if (kMetricsCompiledIn) {
     GM().pass_us.Record(TraceRing::NowUs() - t0);
-    if (parallel) {
-      GM().parallel_levels.Record(levels.size());
-      GM().parallel_width.Record(max_width);
-      GM().parallel_barrier_wait_ns.Record(barrier_wait_ns);
-    }
   }
   span.Arg("origins", origins.size());
   span.Arg("visited", visited);
-  span.Arg("levels", levels.size());
-  span.Arg("max_width", max_width);
   span.Arg("docs_reevaluated",
            host_->stats_.query_evaluations + host_->stats_.delta_evaluations -
                evals_before);
@@ -363,186 +315,115 @@ Result<void> ConsistencyEngine::VisitEager(DirUid uid) {
 Result<void> ConsistencyEngine::VisitIncremental(
     DirUid uid, const std::map<DirUid, Bitmap>& origins,
     std::unordered_map<DirUid, Bitmap>* contents_delta) {
-  VisitPlan plan = PlanVisit(uid, origins, *contents_delta, /*after_import=*/false);
-  if (plan.action == VisitPlan::Action::kNeedsImport) {
-    // Serial-only detour: the parent is a semantic mount point, so the query's scope
-    // includes the mounted name spaces. Each visit re-imports (the remote side may
-    // have new results for the same query) and never short-circuits.
-    auto meta_or = host_->MetaOfUid(uid);
-    if (!meta_or.ok()) {
-      return OkResult();
-    }
-    const SemanticMount* mount = host_->mounts_.FindSemanticAt(DirName(plan.path));
-    if (mount != nullptr) {
-      HAC_RETURN_IF_ERROR(host_->ImportRemoteResults(*mount, *meta_or.value()->query));
-    }
-    // Re-plan from fresh state: imports may rehash metadata_ and log new docs.
-    plan = PlanVisit(uid, origins, *contents_delta, /*after_import=*/true);
-  }
-  return ApplyVisit(&plan, contents_delta);
-}
-
-ConsistencyEngine::VisitPlan ConsistencyEngine::PlanVisit(
-    DirUid uid, const std::map<DirUid, Bitmap>& origins,
-    const std::unordered_map<DirUid, Bitmap>& contents_delta, bool after_import) {
-  VisitPlan plan;
-  plan.uid = uid;
   auto meta_or = host_->MetaOfUid(uid);
   if (!meta_or.ok()) {
-    return plan;  // removed while the batch was open: kSkip with ok error
+    return OkResult();  // removed while the batch was open
   }
-  const DirMetadata* meta = meta_or.value();
+  DirMetadata* meta = meta_or.value();
   const bool is_origin = origins.count(uid) != 0;
-  plan.dep_epoch_sum = DepEpochSum(uid);
 
   if (!meta->IsSemantic()) {
     // Scope-transparent bookkeeping: a syntactic directory passes its parent's scope
     // through, so an upstream change must bump its epoch for its own dependents to
     // notice. The stored dep_epoch_sum (no cached result needed) detects "upstream
     // actually moved" vs "visited for nothing".
-    plan.action = VisitPlan::Action::kSyntactic;
-    plan.bump_epoch = is_origin || plan.dep_epoch_sum != meta->eval.dep_epoch_sum;
-    return plan;
+    const uint64_t dep_epoch_sum = DepEpochSum(uid);
+    if (is_origin || dep_epoch_sum != meta->eval.dep_epoch_sum) {
+      ++meta->scope_epoch;
+    }
+    meta->eval.dep_epoch_sum = dep_epoch_sum;
+    return OkResult();
   }
 
-  auto path_or = host_->uid_map_.PathOf(uid);
-  if (!path_or.ok()) {
-    plan.error = path_or.error();
-    return plan;
+  HAC_ASSIGN_OR_RETURN(std::string path, host_->uid_map_.PathOf(uid));
+  std::string parent_path = DirName(path);
+  // If the parent is a semantic mount point, the query's scope includes the mounted
+  // name spaces. Each such visit re-imports (the remote side may have new results for
+  // the same query) and never short-circuits.
+  const SemanticMount* mount = host_->mounts_.FindSemanticAt(parent_path);
+  if (mount != nullptr) {
+    HAC_RETURN_IF_ERROR(host_->ImportRemoteResults(*mount, *meta->query));
+    HAC_ASSIGN_OR_RETURN(meta, host_->MetaOfUid(uid));  // imports may rehash metadata_
   }
-  plan.path = std::move(path_or).value();
-  std::string parent_path = DirName(plan.path);
-  if (!after_import && host_->mounts_.FindSemanticAt(parent_path) != nullptr) {
-    plan.action = VisitPlan::Action::kNeedsImport;
-    return plan;
-  }
+  // Read after any import: creating the cache directory bumps upstream epochs.
+  const uint64_t dep_epoch_sum = DepEpochSum(uid);
 
   Bitmap doc_delta = DocDeltaSince(meta->eval.doc_gen_seen);
   std::vector<DirUid> deps = host_->graph_.DependenciesOf(uid);
   bool dep_changed = false;
   for (DirUid dep : deps) {
-    auto it = contents_delta.find(dep);
-    if (it != contents_delta.end() && !it->second.Empty()) {
+    auto it = contents_delta->find(dep);
+    if (it != contents_delta->end() && !it->second.Empty()) {
       dep_changed = true;
       break;
     }
   }
 
   // Short-circuit: nothing this directory reads has changed since its last visit.
-  // A visit under a semantic mount (after_import) never short-circuits.
-  if (!after_import && meta->eval.valid && !is_origin &&
-      plan.dep_epoch_sum == meta->eval.dep_epoch_sum && doc_delta.Empty() &&
-      !dep_changed) {
-    plan.action = VisitPlan::Action::kShortCircuit;
-    return plan;
+  if (mount == nullptr && meta->eval.valid && !is_origin &&
+      dep_epoch_sum == meta->eval.dep_epoch_sum && doc_delta.Empty() && !dep_changed) {
+    ++host_->stats_.short_circuit_propagations;
+    GM().short_circuits.Inc();
+    meta->eval.doc_gen_seen = gen_ - 1;
+    return OkResult();
   }
 
-  auto parent_uid_or = host_->uid_map_.UidOf(parent_path);
-  if (!parent_uid_or.ok()) {
-    plan.error = parent_uid_or.error();
-    return plan;
-  }
-  auto parent_scope_or = host_->ScopeOfUid(parent_uid_or.value());
-  if (!parent_scope_or.ok()) {
-    plan.error = parent_scope_or.error();
-    return plan;
-  }
-  plan.parent_scope = std::move(parent_scope_or).value();
+  HAC_ASSIGN_OR_RETURN(DirUid parent_uid, host_->uid_map_.UidOf(parent_path));
+  HAC_ASSIGN_OR_RETURN(Bitmap parent_scope, host_->ScopeOfUid(parent_uid));
   DirResolver resolver = [this](DirUid ref) -> Result<Bitmap> {
     return host_->DirContentsOfUid(ref);
   };
   QueryExprPtr optimized = OptimizeQuery(meta->query->Clone(), host_->index_.get());
 
-  if (!meta->eval.valid) {
-    plan.full_eval = true;
+  Bitmap raw;
+  Bitmap delta;  // the Δ of a delta evaluation; also its link-refresh filter
+  const bool full_eval = !meta->eval.valid;
+  if (full_eval) {
     ++host_->stats_.query_evaluations;
     GM().query_evaluations.Inc();
-    auto raw_or = host_->index_->Evaluate(*optimized, plan.parent_scope, &resolver);
-    if (!raw_or.ok()) {
-      plan.error = raw_or.error();
-      return plan;
-    }
-    plan.raw = std::move(raw_or).value();
+    HAC_ASSIGN_OR_RETURN(raw, host_->index_->Evaluate(*optimized, parent_scope, &resolver));
   } else {
     Bitmap scope_added, scope_removed;
-    meta->eval.scope.DiffWith(plan.parent_scope, &scope_added, &scope_removed);
-    plan.delta = std::move(scope_added);
-    plan.delta |= scope_removed;
-    plan.delta |= doc_delta;
+    meta->eval.scope.DiffWith(parent_scope, &scope_added, &scope_removed);
+    delta = std::move(scope_added);
+    delta |= scope_removed;
+    delta |= doc_delta;
     for (DirUid dep : deps) {
-      if (auto it = contents_delta.find(dep); it != contents_delta.end()) {
-        plan.delta |= it->second;
+      if (auto it = contents_delta->find(dep); it != contents_delta->end()) {
+        delta |= it->second;
       }
     }
     if (auto it = origins.find(uid); it != origins.end()) {
-      plan.delta |= it->second;
+      delta |= it->second;
     }
-    plan.raw = meta->eval.raw_result;
-    plan.raw.AndNot(plan.delta);
-    Bitmap eval_scope = plan.parent_scope;
-    eval_scope &= plan.delta;
+    raw = meta->eval.raw_result;
+    raw.AndNot(delta);
+    Bitmap eval_scope = parent_scope;
+    eval_scope &= delta;
     if (!eval_scope.Empty()) {
       ++host_->stats_.delta_evaluations;
       GM().delta_evaluations.Inc();
-      auto part_or = host_->index_->Evaluate(*optimized, eval_scope, &resolver);
-      if (!part_or.ok()) {
-        plan.error = part_or.error();
-        return plan;
-      }
-      plan.raw |= std::move(part_or).value();
+      HAC_ASSIGN_OR_RETURN(Bitmap part,
+                           host_->index_->Evaluate(*optimized, eval_scope, &resolver));
+      raw |= part;
     }
-  }
-  plan.action = VisitPlan::Action::kEvaluate;
-  return plan;
-}
-
-Result<void> ConsistencyEngine::ApplyVisit(
-    VisitPlan* plan, std::unordered_map<DirUid, Bitmap>* contents_delta) {
-  switch (plan->action) {
-    case VisitPlan::Action::kSkip:
-    case VisitPlan::Action::kNeedsImport:  // only reachable on planner error paths
-      return plan->error;
-    case VisitPlan::Action::kSyntactic: {
-      auto meta_or = host_->MetaOfUid(plan->uid);
-      if (!meta_or.ok()) {
-        return OkResult();
-      }
-      DirMetadata* meta = meta_or.value();
-      if (plan->bump_epoch) {
-        ++meta->scope_epoch;
-      }
-      meta->eval.dep_epoch_sum = plan->dep_epoch_sum;
-      return OkResult();
-    }
-    case VisitPlan::Action::kShortCircuit: {
-      auto meta_or = host_->MetaOfUid(plan->uid);
-      if (!meta_or.ok()) {
-        return OkResult();
-      }
-      ++host_->stats_.short_circuit_propagations;
-      GM().short_circuits.Inc();
-      meta_or.value()->eval.doc_gen_seen = gen_ - 1;
-      return OkResult();
-    }
-    case VisitPlan::Action::kEvaluate:
-      break;
   }
 
   ++host_->stats_.scope_propagations;
   GM().scope_propagations.Inc();
-  const Bitmap* refresh_filter = plan->full_eval ? nullptr : &plan->delta;
   Bitmap transient_delta;
-  HAC_RETURN_IF_ERROR(MaterializeTransients(plan->uid, plan->path, plan->raw,
-                                            refresh_filter, &transient_delta));
-  HAC_ASSIGN_OR_RETURN(DirMetadata * meta, host_->MetaOfUid(plan->uid));
+  HAC_RETURN_IF_ERROR(MaterializeTransients(uid, path, raw,
+                                            full_eval ? nullptr : &delta,
+                                            &transient_delta));
+  HAC_ASSIGN_OR_RETURN(meta, host_->MetaOfUid(uid));
   if (!transient_delta.Empty()) {
     ++meta->scope_epoch;
-    (*contents_delta)[plan->uid] |= transient_delta;
+    (*contents_delta)[uid] |= transient_delta;
   }
   meta->eval.valid = true;
-  meta->eval.raw_result = std::move(plan->raw);
-  meta->eval.scope = std::move(plan->parent_scope);
-  meta->eval.dep_epoch_sum = plan->dep_epoch_sum;  // deps finalized in earlier levels
+  meta->eval.raw_result = std::move(raw);
+  meta->eval.scope = std::move(parent_scope);
+  meta->eval.dep_epoch_sum = dep_epoch_sum;  // deps were visited in earlier levels
   meta->eval.doc_gen_seen = gen_ - 1;  // in-pass entries re-apply next pass: idempotent
   return OkResult();
 }

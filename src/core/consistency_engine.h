@@ -28,16 +28,10 @@
 // after any interleaving of passes still sees exactly the docs that changed since its
 // own last visit. The log is compacted once every cached directory has caught up.
 //
-// Wavefront parallelism (incremental engine only): an incremental pass walks the
-// affected subgraph level by level (DependencyGraph::AffectedInLevels). Directories
-// sharing a level have no dependency edges between them, so their visits read disjoint
-// upstream state; the pass splits each visit into a read-only PLAN (delta assembly +
-// query evaluation — the expensive part) fanned out over a ThreadPool, and a serial
-// APPLY (symlink churn, epoch/cache updates) executed in ascending-uid order behind a
-// hard barrier. Serial and parallel passes iterate the same flattened level schedule
-// and apply in the same order, so the resulting state is byte-identical. Passes fall
-// back to fully-serial visits while semantic mounts exist (imports mutate shared
-// metadata mid-pass) or when SetParallelism was never called.
+// An incremental pass visits the affected subgraph level by level
+// (DependencyGraph::AffectedInLevels): a directory's level is its longest dependency
+// path from a source, and each level is visited in ascending-uid order, so the VFS
+// mutation order — and with it symlink names and inode numbers — is deterministic.
 #ifndef HAC_CORE_CONSISTENCY_ENGINE_H_
 #define HAC_CORE_CONSISTENCY_ENGINE_H_
 
@@ -55,7 +49,6 @@
 namespace hac {
 
 class HacFileSystem;
-class ThreadPool;
 
 enum class ConsistencyMode {
   kEager,        // paper-faithful: full re-evaluation on every mutation
@@ -112,19 +105,6 @@ class ConsistencyEngine {
 
   size_t PendingOriginCount() const { return pending_origins_.size(); }
 
-  // --- wavefront parallelism ---
-
-  // Run incremental passes with up to `width` concurrent planners (the pass-running
-  // thread plus helpers borrowed from `pool`). width <= 1 or a null pool keeps every
-  // pass serial. The engine does not own the pool; the caller must keep it alive for
-  // the engine's lifetime (or call SetParallelism(nullptr, 1) first).
-  void SetParallelism(ThreadPool* pool, size_t width) {
-    pool_ = (width > 1) ? pool : nullptr;
-    parallel_width_ = (pool_ != nullptr) ? width : 1;
-  }
-  ThreadPool* parallel_pool() const { return pool_; }
-  size_t parallel_width() const { return parallel_width_; }
-
  private:
   // One topological pass. `origins` maps each source directory to the contents delta
   // its mutation produced. `full` visits the whole DAG instead of the affected set.
@@ -136,45 +116,8 @@ class ConsistencyEngine {
   // Epoch-gated visit: short-circuit, or splice Eval(query, scope' ∩ Δ) into the
   // cached raw result. `contents_delta` accumulates, per pass, how each visited
   // directory's contents changed, so dir() dependents re-evaluate only that.
-  // Implemented as PlanVisit followed immediately by ApplyVisit (plus the serial-only
-  // remote-import detour).
   Result<void> VisitIncremental(DirUid uid, const std::map<DirUid, Bitmap>& origins,
                                 std::unordered_map<DirUid, Bitmap>* contents_delta);
-
-  // The outcome of planning one incremental visit. Everything a concurrent planner
-  // computes; nothing in it aliases mutable engine/host state.
-  struct VisitPlan {
-    enum class Action {
-      kSkip,          // directory vanished mid-batch, or planning failed (see `error`)
-      kSyntactic,     // scope-transparent bookkeeping only
-      kShortCircuit,  // nothing upstream changed since the last visit
-      kEvaluate,      // raw/delta computed; materialize + cache update pending
-      kNeedsImport,   // parent is a semantic mount: serial import, then re-plan
-    };
-    DirUid uid = 0;
-    Action action = Action::kSkip;
-    Result<void> error;         // non-ok only with kSkip
-    std::string path;
-    uint64_t dep_epoch_sum = 0;
-    bool bump_epoch = false;    // kSyntactic: upstream actually moved
-    bool full_eval = false;     // kEvaluate: raw is a from-scratch evaluation
-    Bitmap raw;                 // kEvaluate: post-splice raw query result
-    Bitmap delta;               // kEvaluate, !full_eval: the Δ (also refresh filter)
-    Bitmap parent_scope;        // kEvaluate: scope the result was evaluated against
-  };
-
-  // Read-only planning: delta assembly and index evaluation, no mutation of host or
-  // engine state — safe to run concurrently for directories in the same wavefront
-  // level. `after_import` re-plans a kNeedsImport visit (no mount detour, no
-  // short-circuit; each visit under a mount re-imports).
-  VisitPlan PlanVisit(DirUid uid, const std::map<DirUid, Bitmap>& origins,
-                      const std::unordered_map<DirUid, Bitmap>& contents_delta,
-                      bool after_import);
-
-  // Serial completion of a plan: stats, symlink churn, epoch bumps, eval-cache and
-  // contents_delta updates. Called in ascending-uid order within a level.
-  Result<void> ApplyVisit(VisitPlan* plan,
-                          std::unordered_map<DirUid, Bitmap>* contents_delta);
 
   // Shared tail of both visits: subtract self-links and user edits from `raw`,
   // materialize the transient diff as symlink churn, refresh stale link targets.
@@ -190,8 +133,6 @@ class ConsistencyEngine {
 
   HacFileSystem* host_;
   ConsistencyMode mode_;
-  ThreadPool* pool_ = nullptr;  // not owned; null = serial passes
-  size_t parallel_width_ = 1;
 
   // Batched origins awaiting a flush: directory -> accumulated contents delta.
   std::map<DirUid, Bitmap> pending_origins_;

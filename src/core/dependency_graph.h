@@ -48,18 +48,17 @@ class DependencyGraph {
   // Topological order of the whole graph (dependencies first).
   std::vector<DirUid> FullTopoOrder() const;
 
-  // Wavefront schedule of the affected subgraph: the same nodes AffectedInTopoOrder
+  // Levelled schedule of the affected subgraph: the same nodes AffectedInTopoOrder
   // returns, grouped into topological levels. A node's level is the longest
   // dependency path to it WITHIN the affected set, so every node's in-set
   // dependencies sit in strictly earlier levels and nodes sharing a level are
-  // pairwise independent — they may be re-evaluated concurrently once a barrier has
-  // finalized the previous level. Each level is sorted ascending and the flattened
-  // schedule is a valid topological order (the canonical visit order of the
-  // consistency engine's passes, serial or parallel).
+  // pairwise independent. Each level is sorted ascending and the flattened schedule
+  // is a valid topological order (the canonical visit order of the incremental
+  // consistency engine's passes).
   std::vector<std::vector<DirUid>> AffectedInLevels(
       const std::vector<DirUid>& sources) const;
 
-  // Wavefront schedule of the whole graph (Reindex / persistence-load passes).
+  // Levelled schedule of the whole graph (Reindex / persistence-load passes).
   std::vector<std::vector<DirUid>> FullLevels() const;
 
   size_t NodeCount() const { return deps_.size(); }

@@ -15,8 +15,24 @@ DocId FileRegistry::NewRecord(InodeId inode, const std::string& path) {
   records_.push_back(std::move(rec));
   by_path_.emplace(path, id);
   by_inode_.emplace(inode, id);
+  IndexUnder(path, id);
   universe_.Set(id);
   return id;
+}
+
+void FileRegistry::IndexUnder(const std::string& path, DocId id) {
+  by_dir_[DirName(path)].Insert(id);
+}
+
+void FileRegistry::UnindexUnder(const std::string& path, DocId id) {
+  auto it = by_dir_.find(DirName(path));
+  if (it == by_dir_.end()) {
+    return;
+  }
+  it->second.Erase(id);
+  if (it->second.Empty()) {
+    by_dir_.erase(it);
+  }
 }
 
 Result<DocId> FileRegistry::Add(InodeId inode, const std::string& path) {
@@ -82,6 +98,7 @@ Result<void> FileRegistry::Deactivate(DocId id) {
   rec.dirty = true;  // must be purged from the index
   by_path_.erase(rec.path);
   by_inode_.erase(rec.inode);
+  UnindexUnder(rec.path, id);
   universe_.Clear(id);
   return OkResult();
 }
@@ -100,45 +117,66 @@ Result<void> FileRegistry::SetPath(DocId id, const std::string& path) {
   }
   FileRecord& rec = records_[id];
   by_path_.erase(rec.path);
+  UnindexUnder(rec.path, id);
   rec.path = path;
   by_path_.emplace(path, id);
+  IndexUnder(path, id);
   return OkResult();
 }
 
 void FileRegistry::RenameSubtree(const std::string& from, const std::string& to) {
-  std::vector<DocId> moved;
-  for (const auto& [path, id] : by_path_) {
-    if (PathIsWithin(path, from)) {
-      moved.push_back(id);
-    }
+  // Detach the moved directories' entries (`from` itself, then every key under
+  // `from/`), rebase their records, and re-key them.
+  std::vector<DirIndex::node_type> moved;
+  if (auto it = by_dir_.find(from); it != by_dir_.end()) {
+    moved.push_back(by_dir_.extract(it));
   }
-  for (DocId id : moved) {
-    FileRecord& rec = records_[id];
-    std::string new_path = RebasePath(rec.path, from, to);
-    by_path_.erase(rec.path);
-    rec.path = std::move(new_path);
-    by_path_.emplace(rec.path, id);
+  const std::string prefix = from == "/" ? from : from + "/";
+  for (auto it = by_dir_.lower_bound(prefix);
+       it != by_dir_.end() && it->first.starts_with(prefix);) {
+    moved.push_back(by_dir_.extract(it++));
+  }
+  for (DirIndex::node_type& node : moved) {
+    for (DocId id : node.mapped()) {
+      FileRecord& rec = records_[id];
+      by_path_.erase(rec.path);
+      rec.path = RebasePath(rec.path, from, to);
+      by_path_.emplace(rec.path, id);
+    }
+    node.key() = RebasePath(node.key(), from, to);
+    auto ins = by_dir_.insert(std::move(node));
+    if (!ins.inserted) {
+      ins.position->second = ins.position->second.Union(ins.node.mapped());
+    }
   }
 }
 
 Bitmap FileRegistry::FilesWithin(const std::string& dir) const {
+  if (dir == "/") {
+    return universe_;
+  }
+  // `dir`'s own files, then the key range of its subdirectories. Keys such as
+  // "dir-x" or "dir.x" sort between the two and belong to siblings.
   Bitmap out;
-  for (const auto& [path, id] : by_path_) {
-    if (PathIsWithin(path, dir) && path != dir) {
+  auto add = [&out](const IdSet& ids) {
+    for (DocId id : ids) {
       out.Set(id);
     }
+  };
+  if (auto it = by_dir_.find(dir); it != by_dir_.end()) {
+    add(it->second);
+  }
+  const std::string prefix = dir + "/";
+  for (auto it = by_dir_.lower_bound(prefix);
+       it != by_dir_.end() && it->first.starts_with(prefix); ++it) {
+    add(it->second);
   }
   return out;
 }
 
 Bitmap FileRegistry::DirectChildrenOf(const std::string& dir) const {
-  Bitmap out;
-  for (const auto& [path, id] : by_path_) {
-    if (DirName(path) == dir) {
-      out.Set(id);
-    }
-  }
-  return out;
+  auto it = by_dir_.find(dir);
+  return it == by_dir_.end() ? Bitmap() : it->second.ToBitmap();
 }
 
 std::vector<DocId> FileRegistry::DirtyDocs() const {
@@ -169,6 +207,7 @@ Result<void> FileRegistry::RestoreRecord(const FileRecord& rec) {
     }
     by_path_.emplace(rec.path, rec.id);
     by_inode_.emplace(rec.inode, rec.id);
+    IndexUnder(rec.path, rec.id);
     universe_.Set(rec.id);
   }
   if (!rec.remote_key.empty()) {
@@ -183,6 +222,9 @@ size_t FileRegistry::SizeBytes() const {
     total += rec.path.size() + rec.remote_key.size();
   }
   total += by_path_.size() * 64 + by_inode_.size() * 48 + by_remote_key_.size() * 64;
+  for (const auto& [dir, ids] : by_dir_) {
+    total += 64 + dir.size() + ids.SizeBytes();
+  }
   return total;
 }
 

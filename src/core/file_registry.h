@@ -5,15 +5,24 @@
 // deleted file's record is kept (not alive) so prohibited/permanent bookkeeping that
 // mentions it stays meaningful, exactly like the paper's compact file-list
 // representation keeps slots stable between reindexing runs.
+//
+// Live files are also indexed by parent directory, in an ordered map keyed by the
+// directory's path. The files anywhere under `dir` are then the entry for `dir`
+// itself plus the key range of paths starting with `dir + "/"` — the second half of
+// the paper's scope(p) rule (p's links plus the files physically under p) costs
+// time proportional to the files it returns, not to every live file.
 #ifndef HAC_CORE_FILE_REGISTRY_H_
 #define HAC_CORE_FILE_REGISTRY_H_
 
+#include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/index/cba.h"
 #include "src/support/bitmap.h"
+#include "src/support/id_set.h"
 #include "src/support/result.h"
 #include "src/vfs/types.h"
 
@@ -56,7 +65,8 @@ class FileRegistry {
   // Updates the path of one file.
   Result<void> SetPath(DocId id, const std::string& path);
 
-  // Rewrites all live paths inside `from` to live under `to` (directory rename).
+  // Rewrites all live paths under directory `from` to live under `to` (directory
+  // rename). Touches only the moved records.
   void RenameSubtree(const std::string& from, const std::string& to);
 
   // All live files.
@@ -81,12 +91,17 @@ class FileRegistry {
   Result<void> RestoreRecord(const FileRecord& rec);
 
  private:
+  using DirIndex = std::map<std::string, IdSet, std::less<>>;
+
   DocId NewRecord(InodeId inode, const std::string& path);
+  void IndexUnder(const std::string& path, DocId id);
+  void UnindexUnder(const std::string& path, DocId id);
 
   std::vector<FileRecord> records_;  // indexed by DocId
   std::unordered_map<std::string, DocId> by_path_;
   std::unordered_map<InodeId, DocId> by_inode_;
   std::unordered_map<std::string, DocId> by_remote_key_;
+  DirIndex by_dir_;  // parent-directory path -> its live files; no empty entries
   Bitmap universe_;
 };
 

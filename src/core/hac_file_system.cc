@@ -47,11 +47,6 @@ HacFileSystem::HacFileSystem(HacOptions options)
       }
       return vfs_.ReadFileToString(rec->path);
     });
-  } else if (options_.parallelism > 1) {
-    // Content verification evaluates through the VFS (above), which is not safe for
-    // concurrent planners — parallelism stays off in that mode.
-    propagation_pool_ = std::make_unique<ThreadPool>(options_.parallelism - 1);
-    engine_->SetParallelism(propagation_pool_.get(), options_.parallelism);
   }
 }
 

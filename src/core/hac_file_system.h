@@ -18,7 +18,6 @@
 #define HAC_CORE_HAC_FILE_SYSTEM_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,7 +36,6 @@
 #include "src/core/uid_map.h"
 #include "src/index/cba.h"
 #include "src/index/inverted_index.h"
-#include "src/support/thread_pool.h"
 #include "src/vfs/file_system.h"
 
 namespace hac {
@@ -53,14 +51,6 @@ struct HacOptions {
   // content (the two-level search cost model). Off by default — the library's deferred
   // data-consistency semantics (stale links persist until reindex) are the paper's.
   bool verify_results_with_content = false;
-  // Wavefront parallelism for incremental propagation passes: the number of threads
-  // (including the calling one) that plan a topological level concurrently. 1 (the
-  // default) keeps propagation serial; N > 1 makes the facade own a ThreadPool of
-  // N - 1 helpers. Results are byte-identical either way — this is an A/B knob like
-  // `consistency`. Ignored by the eager engine and (at pass time) while semantic
-  // mounts exist or when verify_results_with_content is set: content verification
-  // re-reads files through the single-threaded VFS during evaluation.
-  size_t parallelism = 1;
 };
 
 // Snapshot of a directory's link classification (names relative to the directory).
@@ -169,19 +159,6 @@ class HacFileSystem final : public FsInterface {
   bool InBatch() const;
   ConsistencyMode consistency_mode() const { return engine_->mode(); }
 
-  // --- propagation parallelism ---
-  //
-  // Point the consistency engine at an externally owned pool (the hacd service lends
-  // its reader pool so batched write flushes propagate in parallel), or at nullptr /
-  // width 1 to force serial passes. Replaces any pool configured via
-  // HacOptions::parallelism for as long as it is set; the caller must outlive the
-  // setting (HacService restores the previous pool in Stop()).
-  void SetPropagationPool(ThreadPool* pool, size_t width) {
-    engine_->SetParallelism(pool, width);
-  }
-  ThreadPool* propagation_pool() const { return engine_->parallel_pool(); }
-  size_t propagation_width() const { return engine_->parallel_width(); }
-
   // --- link-class control (the paper's footnote-1 API) ---
   Result<LinkClassView> GetLinkClasses(const std::string& dir_path);
   // Promote a transient link to permanent so no query change can remove it.
@@ -215,6 +192,10 @@ class HacFileSystem final : public FsInterface {
   std::vector<JournalRecord> DrainJournal(size_t max_records = 0) {
     return journal_.Drain(max_records);
   }
+  // Drops the buffered journal records undecoded. A service with no durable store
+  // calls this after each write batch, so memory does not grow with every byte ever
+  // written; MutationEpoch() keeps counting.
+  void DiscardJournal() { journal_.Discard(); }
   // Unified counter snapshot: facade counters plus the index and VFS component views.
   StatsSnapshot Stats() const;
 
@@ -269,11 +250,6 @@ class HacFileSystem final : public FsInterface {
   Result<Bitmap> ScopeOfUid(DirUid uid) const;
   // Contents bitmap of a directory (see DirectoryResultOf).
   Result<Bitmap> DirContentsOfUid(DirUid uid) const;
-  // DirContentsOfUid memoized on (uid, MutationEpoch): the search read path —
-  // especially a paged drain, which re-derives the same scope once per
-  // FetchPage — asks for identical bitmaps at a quiesced epoch. Mutex-guarded
-  // because readers run concurrently under the service's shared lock.
-  Result<Bitmap> CachedDirContents(DirUid uid) const;
 
   // Dependency set for a directory: its parent plus all dirs referenced by its query.
   Result<std::vector<DirUid>> ComputeDeps(DirUid uid, const std::string& norm_path,
@@ -307,19 +283,9 @@ class HacFileSystem final : public FsInterface {
   MountTable mounts_;
   MetadataJournal journal_;
   AttributeCache attr_cache_;
-
-  // Single-entry scope memo for CachedDirContents. Epoch-keyed, so any
-  // journaled mutation or (re)index activity invalidates it implicitly.
-  mutable std::mutex scope_memo_mu_;
-  mutable DirUid scope_memo_uid_ = kInvalidDirUid;
-  mutable uint64_t scope_memo_epoch_ = 0;
-  mutable Bitmap scope_memo_;
   std::vector<HacFdTable> processes_;
   ProcessId current_process_ = 0;
 
-  // Owned propagation helpers (options_.parallelism - 1 threads; null when serial).
-  // Declared before engine_ so the pool outlives the engine that borrows it.
-  std::unique_ptr<ThreadPool> propagation_pool_;
   std::unique_ptr<ConsistencyEngine> engine_;
   StatsSnapshot stats_;
   uint64_t content_mutations_since_reindex_ = 0;

@@ -92,6 +92,11 @@ std::vector<JournalRecord> MetadataJournal::Drain(size_t max_records) {
   return out;
 }
 
+void MetadataJournal::Discard() {
+  buf_.clear();
+  drained_ = records_;
+}
+
 void MetadataJournal::Clear() {
   buf_.clear();
   records_ = 0;

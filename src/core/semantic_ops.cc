@@ -162,7 +162,7 @@ Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
     ref->text.clear();
   }
   HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(r.path));
-  HAC_ASSIGN_OR_RETURN(Bitmap scope, CachedDirContents(scope_uid));
+  HAC_ASSIGN_OR_RETURN(Bitmap scope, DirContentsOfUid(scope_uid));
   DirResolver resolver = [this](DirUid uid) -> Result<Bitmap> {
     return this->DirContentsOfUid(uid);
   };
@@ -177,22 +177,6 @@ Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
   });
   std::sort(paths.begin(), paths.end());
   return paths;
-}
-
-Result<Bitmap> HacFileSystem::CachedDirContents(DirUid uid) const {
-  const uint64_t epoch = MutationEpoch();
-  {
-    std::lock_guard<std::mutex> lk(scope_memo_mu_);
-    if (scope_memo_uid_ == uid && scope_memo_epoch_ == epoch) {
-      return scope_memo_;
-    }
-  }
-  HAC_ASSIGN_OR_RETURN(Bitmap contents, DirContentsOfUid(uid));
-  std::lock_guard<std::mutex> lk(scope_memo_mu_);
-  scope_memo_uid_ = uid;
-  scope_memo_epoch_ = epoch;
-  scope_memo_ = contents;
-  return contents;
 }
 
 Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
@@ -236,7 +220,7 @@ Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
     ref->text.clear();
   }
   HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(r.path));
-  HAC_ASSIGN_OR_RETURN(Bitmap scope, CachedDirContents(scope_uid));
+  HAC_ASSIGN_OR_RETURN(Bitmap scope, DirContentsOfUid(scope_uid));
   DirResolver resolver = [this](DirUid uid) -> Result<Bitmap> {
     return this->DirContentsOfUid(uid);
   };

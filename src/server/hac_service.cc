@@ -70,13 +70,6 @@ HacService::HacService(HacFileSystem& fs, ServiceOptions options)
       options_(options),
       readers_(std::max<size_t>(1, options.read_workers)),
       write_queue_(std::max<size_t>(1, options.max_write_queue)) {
-  if (options_.propagation_parallelism > 0) {
-    prev_propagation_pool_ = fs_.propagation_pool();
-    prev_propagation_width_ = fs_.propagation_width();
-    fs_.SetPropagationPool(
-        &readers_,
-        std::min(options_.propagation_parallelism, readers_.ThreadCount() + 1));
-  }
   writer_ = std::thread([this] { WriterLoop(); });
 }
 
@@ -364,7 +357,9 @@ void HacService::WriterLoop() {
         }
         commit = scope.Commit();
       }
-      if (commit.ok() && options_.durable_store != nullptr) {
+      if (options_.durable_store == nullptr) {
+        fs_.DiscardJournal();  // no WAL will ever drain these records
+      } else if (commit.ok()) {
         // Group commit to the WAL: the whole batch becomes durable with one fsync.
         // Must succeed before any future below is fulfilled — an acknowledged write
         // is on disk (docs/DURABILITY.md).
@@ -869,9 +864,6 @@ void HacService::Stop() {
       // a final checkpoint so the next start recovers without WAL replay.
       (void)options_.durable_store->CommitFrom(fs_);
       (void)options_.durable_store->Checkpoint(fs_);
-    }
-    if (options_.propagation_parallelism > 0) {
-      fs_.SetPropagationPool(prev_propagation_pool_, prev_propagation_width_);
     }
     readers_.Stop();
   });

@@ -58,13 +58,6 @@ struct ServiceOptions {
   // Test hook: runs on the worker thread right before a read request executes (after
   // the shared lock is held). Used to make overload/timeout tests deterministic.
   std::function<void()> read_hook;
-  // Lend the reader pool to the facade's consistency engine so batched write flushes
-  // propagate level-parallel: the value is the total planner width (writer thread +
-  // borrowed readers, clamped to read_workers + 1). 0 leaves the facade's own
-  // HacOptions::parallelism configuration untouched. Deadlock-free even though the
-  // borrowed readers may all be blocked on the writer's exclusive lock: ParallelFor's
-  // caller (the writer) participates, so propagation never waits on a pool slot.
-  size_t propagation_parallelism = 0;
   // Server-side cursor policy (docs/API.md "Cursor ops"). A session holds at
   // most this many open cursors; kOpenCursor beyond the cap is refused with
   // kOverloaded. Cursors idle past the transport's idle_timeout_ms are reclaimed
@@ -76,6 +69,7 @@ struct ServiceOptions {
   // disk. The writer also takes a checkpoint whenever the store's policy asks for
   // one (DurabilityOptions thresholds) or a kCheckpoint request arrives, and Stop()
   // seals the store with a final checkpoint. Not owned; must outlive the service.
+  // When null, the writer discards the journal after every batch instead.
   DurableStore* durable_store = nullptr;
 };
 
@@ -199,10 +193,6 @@ class HacService {
   bool writer_pending_ = false;
 
   ThreadPool readers_;
-  // The facade's propagation setting before this service lent it the reader pool;
-  // restored in Stop() so the facade never keeps a pointer to a dead pool.
-  ThreadPool* prev_propagation_pool_ = nullptr;
-  size_t prev_propagation_width_ = 1;
   std::atomic<size_t> queued_reads_ = 0;
   BoundedMpscQueue<std::shared_ptr<Pending>> write_queue_;
   std::thread writer_;

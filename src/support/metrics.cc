@@ -28,10 +28,6 @@ MetricsRegistry& MetricsRegistry::Global() {
         unit = "pct";
       } else if (n.size() >= 3 && n.compare(n.size() - 3, 3, "_ns") == 0) {
         unit = "ns";
-      } else if (n.size() >= 7 && n.compare(n.size() - 7, 7, "_levels") == 0) {
-        unit = "levels";
-      } else if (n.size() >= 6 && n.compare(n.size() - 6, 6, "_width") == 0) {
-        unit = "dirs";
       } else if ((n.size() >= 7 && n.compare(n.size() - 7, 7, "_frames") == 0) ||
                  (n.size() >= 9 && n.compare(n.size() - 9, 9, "_per_wake") == 0)) {
         unit = "frames";

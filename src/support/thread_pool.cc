@@ -1,7 +1,5 @@
 #include "src/support/thread_pool.h"
 
-#include <algorithm>
-
 namespace hac {
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -40,53 +38,6 @@ void ThreadPool::Stop() {
       t.join();
     }
   }
-}
-
-uint64_t ParallelFor(ThreadPool* pool, size_t max_helpers, size_t n,
-                     const std::function<void(size_t)>& fn) {
-  if (n == 0) {
-    return 0;
-  }
-  size_t helpers = 0;
-  if (pool != nullptr) {
-    helpers = std::min(std::min(max_helpers, pool->ThreadCount()), n - 1);
-  }
-  if (helpers == 0) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-    return 0;
-  }
-  std::atomic<size_t> next{0};
-  WaitGroup wg;
-  auto work = [&next, n, &fn] {
-    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      fn(i);
-    }
-  };
-  size_t spawned = 0;
-  for (size_t h = 0; h < helpers; ++h) {
-    wg.Add();
-    // Captures-by-reference are safe: wg.Wait() below keeps this frame alive until
-    // every spawned job has run (Stop() executes pending jobs before joining).
-    if (!pool->Submit([&work, &wg] {
-          work();
-          wg.Done();
-        })) {
-      wg.Done();  // pool already stopped; the caller absorbs the share
-      break;
-    }
-    ++spawned;
-  }
-  work();
-  if (spawned == 0) {
-    return 0;
-  }
-  const auto barrier_start = std::chrono::steady_clock::now();
-  wg.Wait();
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now() - barrier_start)
-                                   .count());
 }
 
 void ThreadPool::WorkerLoop() {

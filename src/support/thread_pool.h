@@ -11,24 +11,11 @@
 // blocks the caller (unbounded job list; the service bounds admission upstream with
 // its request queues), Stop() drains nothing — pending jobs still run before the
 // workers exit, so a stopping service completes every admitted request.
-//
-// WaitGroup — counts outstanding work handed to other threads; the thing ThreadPool
-// itself deliberately lacks (Stop() is the only join). Add before dispatch, Done when
-// the item finishes, Wait blocks until the count returns to zero.
-//
-// ParallelFor — fan fn(0..n-1) out over a pool with the CALLER PARTICIPATING: the
-// calling thread claims indices alongside the pool workers, so the loop completes
-// even when the pool is null, stopped, or fully occupied by jobs that are themselves
-// blocked (the consistency engine runs under the hacd writer's exclusive lock while
-// reader-pool jobs block on that very lock — caller participation is what makes
-// sharing that pool deadlock-free).
 #ifndef HAC_SUPPORT_THREAD_POOL_H_
 #define HAC_SUPPORT_THREAD_POOL_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -133,48 +120,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> threads_;
 };
-
-// Go-style completion counter. A fresh WaitGroup is at zero, so Wait() with no
-// outstanding Add returns immediately. Add strictly before handing the work item to
-// another thread; Done exactly once per Add.
-class WaitGroup {
- public:
-  void Add(size_t n = 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    count_ += n;
-  }
-
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--count_ == 0) {
-      // Notify while still holding the lock: the waiter frequently destroys the
-      // WaitGroup right after Wait() returns, so the signal must complete before
-      // Wait() can observe count_ == 0.
-      done_.notify_all();
-    }
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_.wait(lock, [this] { return count_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable done_;
-  int64_t count_ = 0;
-};
-
-// Runs fn(i) for every i in [0, n), claiming indices from a shared counter. Spawns at
-// most min(max_helpers, pool->ThreadCount(), n - 1) helper jobs and then works the
-// counter on the calling thread too, so every index runs exactly once and the call
-// returns only after all indices finished — a hard barrier. The pool may be null,
-// stopped, or busy; the caller then does (up to all of) the work itself. `fn` must not
-// throw. Returns the nanoseconds the caller spent blocked in the final barrier after
-// exhausting the counter (0 when no helper was spawned) — the wavefront scheduler's
-// barrier-wait signal.
-uint64_t ParallelFor(ThreadPool* pool, size_t max_helpers, size_t n,
-                     const std::function<void(size_t)>& fn);
 
 }  // namespace hac
 

@@ -39,6 +39,19 @@ TEST(MetadataJournalTest, ClearResets) {
   EXPECT_TRUE(journal.Decode().value().empty());
 }
 
+TEST(MetadataJournalTest, DiscardDropsRecordsButKeepsTheCount) {
+  MetadataJournal journal;
+  journal.Append(JournalOp::kFileWritten, 0, "/f", std::string(1024, 'x'));
+  journal.Append(JournalOp::kUnlinked, 0, "/f");
+  journal.Discard();
+  EXPECT_EQ(journal.SizeBytes(), 0u);
+  EXPECT_EQ(journal.PendingRecords(), 0u);
+  EXPECT_EQ(journal.RecordCount(), 2u);  // monotone, unlike Clear()
+  journal.Append(JournalOp::kDirCreated, 0, "/d");
+  EXPECT_EQ(journal.RecordCount(), 3u);
+  EXPECT_EQ(journal.Drain().size(), 1u);
+}
+
 TEST(MetadataJournalTest, BinarySafePayloads) {
   MetadataJournal journal;
   std::string binary("\x00\x01\xff payload", 12);

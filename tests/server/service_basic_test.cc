@@ -65,30 +65,23 @@ class ServiceBasicTest : public ::testing::Test {
   HacFileSystem fs_;
 };
 
-TEST_F(ServiceBasicTest, PropagationParallelismLendsAndRestoresReaderPool) {
-  EXPECT_EQ(fs_.propagation_pool(), nullptr);
-  ServiceOptions opts;
-  opts.read_workers = 2;
-  opts.propagation_parallelism = 8;  // clamped to read_workers + 1
-  HacService service(fs_, opts);
-  EXPECT_NE(fs_.propagation_pool(), nullptr);
-  EXPECT_EQ(fs_.propagation_width(), 3u);
-
-  // A semantic workload propagates correctly through the lent pool.
+// With no durable store nothing drains the journal, so the writer discards it after
+// every batch (file writes journal their full bytes); the mutation epoch that page
+// tokens are keyed on keeps rising.
+TEST_F(ServiceBasicTest, StorelessWriterDiscardsTheJournal) {
+  ASSERT_TRUE(fs_.Mkdir("/docs").ok());  // journaled before the service starts
+  ASSERT_GT(fs_.journal().SizeBytes(), 0u);
+  HacService service(fs_);
   ServiceClient client(service);
-  ASSERT_TRUE(client.Mkdir("/docs").ok());
-  ASSERT_TRUE(client.WriteFile("/docs/a.txt", "alpha beta").ok());
-  ASSERT_TRUE(client.Reindex().ok());
-  ASSERT_TRUE(client.SMkdir("/q", "alpha").ok());
-  auto entries = client.ReadDir("/q");
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries.value().size(), 1u);
-
-  // Stop() hands the facade back its previous (serial) configuration, so the
-  // engine never holds a pointer into the service's dead reader pool.
-  service.Stop();
-  EXPECT_EQ(fs_.propagation_pool(), nullptr);
-  EXPECT_EQ(fs_.propagation_width(), 1u);
+  uint64_t epoch = fs_.MutationEpoch();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        client.WriteFile("/docs/f" + std::to_string(i), std::string(4096, 'x')).ok());
+    EXPECT_EQ(fs_.journal().SizeBytes(), 0u) << i;
+    EXPECT_GT(fs_.MutationEpoch(), epoch) << i;
+    epoch = fs_.MutationEpoch();
+  }
+  EXPECT_EQ(fs_.journal().PendingRecords(), 0u);
 }
 
 TEST_F(ServiceBasicTest, ConcurrentWritesCoalesceIntoBatches) {
