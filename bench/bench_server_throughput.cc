@@ -16,15 +16,14 @@
 // the read-heavy 1->8 thread scaling factor. Scaling on a single-core host measures
 // only lock/queue overhead; see the EXPERIMENTS.md discussion before comparing.
 //
-// --connections[=1,8,64,512] switches to the transport-model comparison: for each
-// io_model (thread-per-connection vs epoll reactor) and each connection count, C
-// raw-frame clients each keep a window of pipelined write-heavy requests in flight.
-// Reported per row: ops/sec, p50/p95/p99, the epoll writev_frames mean (responses
-// coalesced per sendmsg — the group-commit payoff crossing the wire), and the final
-// StateDigest. With --hac_json this is the bench_server_epoll_gate: digests must
-// match across io models for every connection count, the epoll writev_frames mean
-// at 64 connections must exceed 1, and on hosts with >= 4 hardware threads epoll
-// must not lose to thread-per-connection on ops/sec at 64 connections.
+// --connections[=1,8,64,512] switches to connection scaling over the epoll
+// transport: for each connection count, C raw-frame clients each keep a window of
+// pipelined write-heavy requests in flight. Reported per row: ops/sec,
+// p50/p95/p99, the writev_frames mean (responses coalesced per sendmsg — the
+// group-commit payoff crossing the wire), and the final StateDigest. With
+// --hac_json this is the bench_server_epoll_gate: at every connection count the
+// digest must equal that of a serial in-process replay of the same per-connection
+// op sequences, and the writev_frames mean at 64 connections must exceed 1.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -210,10 +209,6 @@ RunResult RunClosedLoop(int threads, const MixSpec& mix, int ops_per_thread,
 // Connection-scaling comparison (--connections): raw pipelined clients.
 // ---------------------------------------------------------------------------
 
-const char* IoModelName(IoModel m) {
-  return m == IoModel::kEpoll ? "epoll" : "thread_per_conn";
-}
-
 // A raw loopback connection that keeps a window of request frames in flight —
 // RemoteServiceClient is strict call/response, so pipelining needs its own client.
 class PipelinedBenchConn {
@@ -277,7 +272,6 @@ class PipelinedBenchConn {
 };
 
 struct ScaleResult {
-  IoModel model = IoModel::kEpoll;
   int connections = 0;
   uint64_t total_ops = 0;
   double wall_ms = 0;
@@ -285,16 +279,43 @@ struct ScaleResult {
   double p50_us = 0;
   double p95_us = 0;
   double p99_us = 0;
-  double writev_mean = 0;      // epoll only: mean response frames per sendmsg
+  double writev_mean = 0;      // mean response frames per sendmsg
   double bytes_per_frame = 0;  // server bytes_out per answered request
   uint64_t digest = 0;         // StateDigest of the final fs (inode-free)
+  uint64_t replay_digest = 0;  // the same op sequences replayed serially in-process
   bool clean = true;           // every request sent, answered, and ok()
 };
 
-// C connections, each a closed window of kWindow pipelined writes: distinct paths
-// per connection (commuting), content keyed by op index so the final state — and
-// therefore the digest — is identical whichever io model served the run.
-ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
+// Connection c's op number `op`: a write to the connection's own path (so
+// connections commute), with content keyed by op index, so the final state — and
+// therefore the digest — does not depend on how the server interleaved them.
+ServerRequest ScaleWrite(int c, int op) {
+  const auto& topics = CorpusTopics();
+  ServerRequest req;
+  req.op = ServerOp::kWriteFile;
+  req.path = "/corpus/d" + std::to_string(c % 8) + "/scale_c" + std::to_string(c) + ".txt";
+  req.aux = "scale " + topics[static_cast<size_t>(op) % topics.size()] + " op " +
+            std::to_string(op);
+  return req;
+}
+
+// The digest the run must reach: every connection's ops, one after another, applied
+// in process.
+uint64_t SerialReplayDigest(int connections, int ops_per_conn) {
+  auto fs = BuildCorpusFs();
+  for (int c = 0; c < connections; ++c) {
+    for (int op = 0; op < ops_per_conn; ++op) {
+      const ServerRequest req = ScaleWrite(c, op);
+      if (!fs->WriteFile(req.path, req.aux).ok()) {
+        std::abort();
+      }
+    }
+  }
+  return StateDigest(*fs);
+}
+
+// C connections, each a closed window of kWindow pipelined writes (ScaleWrite).
+ScaleResult RunConnectionScale(int connections, int total_ops) {
   constexpr int kWindow = 16;
   auto fs = BuildCorpusFs();
   ServiceOptions sopts;
@@ -306,14 +327,11 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
   sopts.write_queue_timeout = std::chrono::milliseconds(0);
   HacService service(*fs, sopts);
   TcpServerOptions topts;
-  topts.io_model = model;
-  topts.max_connections = 4096;  // let the blocking model hold 512 too
-  topts.backlog = 1024;          // a 512-way connect burst must not overflow SYN queue
+  topts.backlog = 1024;  // a 512-way connect burst must not overflow the SYN queue
   TcpServer server(service, topts);
   if (!server.Start().ok()) {
     std::abort();
   }
-  const auto& topics = CorpusTopics();
   const int ops_per_conn = std::max(1, total_ops / connections);
 
   std::vector<std::vector<double>> latencies(static_cast<size_t>(connections));
@@ -322,9 +340,6 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
       MetricsRegistry::Global().GetHistogram(metric_names::kServerWritevFrames);
   const uint64_t wv_count0 = writev.Count();
   const uint64_t wv_sum0 = writev.Sum();
-  Counter& bytes_out =
-      MetricsRegistry::Global().GetCounter(metric_names::kServerBytesOut);
-  const uint64_t bytes_out0 = bytes_out.Value();
 
   std::vector<std::thread> clients;
   BenchTimer wall;
@@ -338,18 +353,11 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
         return;
       }
       lat.reserve(static_cast<size_t>(ops_per_conn));
-      ServerRequest req;
-      req.op = ServerOp::kWriteFile;
-      req.path = "/corpus/d" + std::to_string(c % 8) + "/scale_c" +
-                 std::to_string(c) + ".txt";
       int sent = 0, done = 0;
       std::deque<std::chrono::steady_clock::time_point> in_flight;
       auto push_one = [&]() -> bool {
-        req.aux = "scale " + topics[static_cast<size_t>(sent) % topics.size()] +
-                  " op " + std::to_string(sent);
         in_flight.push_back(std::chrono::steady_clock::now());
-        ++sent;
-        return conn.SendRequest(req);
+        return conn.SendRequest(ScaleWrite(c, sent++));
       };
       while (sent < ops_per_conn && sent < kWindow) {
         if (!push_one()) {
@@ -382,7 +390,6 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
   server.Stop();
   service.Stop();
 
-  r.model = model;
   r.connections = connections;
   std::vector<double> all;
   for (auto& lat : latencies) {
@@ -398,11 +405,11 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
   r.writev_mean = wv_count == 0 ? 0
                                 : static_cast<double>(writev.Sum() - wv_sum0) /
                                       static_cast<double>(wv_count);
-  r.bytes_per_frame = r.total_ops == 0
-                          ? 0
-                          : static_cast<double>(bytes_out.Value() - bytes_out0) /
-                                static_cast<double>(r.total_ops);
+  r.bytes_per_frame = r.total_ops == 0 ? 0
+                                        : static_cast<double>(server.Stats().bytes_out) /
+                                              static_cast<double>(r.total_ops);
   r.digest = StateDigest(*fs);
+  r.replay_digest = SerialReplayDigest(connections, ops_per_conn);
   for (char ok : clean) {
     r.clean = r.clean && ok != 0;
   }
@@ -412,107 +419,76 @@ ScaleResult RunConnectionScale(IoModel model, int connections, int total_ops) {
 int RunConnectionScaling(bool json, const std::vector<int>& counts) {
   const int total_ops = PaperScale() ? 16384 : 4096;
   const unsigned hw = std::thread::hardware_concurrency();
-  const std::vector<IoModel> models = {IoModel::kThreadPerConnection, IoModel::kEpoll};
 
   std::vector<ScaleResult> results;
-  TablePrinter table({"io_model", "connections", "ops/sec", "p50us", "p95us",
-                      "p99us", "writev_mean", "digest"});
-  for (IoModel model : models) {
-    for (int c : counts) {
-      ScaleResult r = RunConnectionScale(model, c, total_ops);
-      char digest_hex[32];
-      std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                    static_cast<unsigned long long>(r.digest));
-      table.AddRow({IoModelName(model), std::to_string(c), Fmt(r.ops_per_sec, 0),
-                    Fmt(r.p50_us, 1), Fmt(r.p95_us, 1), Fmt(r.p99_us, 1),
-                    model == IoModel::kEpoll ? Fmt(r.writev_mean, 2) : "-",
-                    digest_hex});
-      results.push_back(r);
-    }
+  TablePrinter table({"connections", "ops/sec", "p50us", "p95us", "p99us",
+                      "writev_mean", "digest", "replay_digest"});
+  auto hex = [](uint64_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  for (int c : counts) {
+    ScaleResult r = RunConnectionScale(c, total_ops);
+    table.AddRow({std::to_string(c), Fmt(r.ops_per_sec, 0), Fmt(r.p50_us, 1),
+                  Fmt(r.p95_us, 1), Fmt(r.p99_us, 1), Fmt(r.writev_mean, 2),
+                  hex(r.digest), hex(r.replay_digest)});
+    results.push_back(r);
   }
 
-  // Gate 1 (always): the two transports must produce the same file-system state
-  // for every connection count — coalescing and pipelining may reorder wire
-  // traffic, never effects.
+  // Gate 1: pipelining and coalescing may reorder wire traffic, never effects —
+  // every connection count ends in the state a serial replay of its ops reaches.
   bool digests_match = true, all_clean = true;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    const ScaleResult& blocking = results[i];
-    const ScaleResult& epoll = results[counts.size() + i];
-    digests_match = digests_match && blocking.digest == epoll.digest;
-    all_clean = all_clean && blocking.clean && epoll.clean;
+  for (const ScaleResult& r : results) {
+    digests_match = digests_match && r.digest == r.replay_digest;
+    all_clean = all_clean && r.clean;
   }
-  // Gate 2 (always): at 64 connections the epoll writer must actually batch —
-  // group-committed responses coalesced into one sendmsg, mean > 1 frame.
+  // Gate 2: at 64 connections the writer must actually batch — group-committed
+  // responses coalesced into one sendmsg, mean > 1 frame.
   double writev_at_64 = 0;
-  // Gate 3 (>= 4 hardware threads only): epoll must not lose on throughput at 64
-  // connections. Below that the reactor shares its cores with 64 client threads
-  // and the comparison measures scheduler pressure, not the transport.
-  bool epoll_wins_64 = true;
-  bool compared_64 = false;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] != 64) {
-      continue;
-    }
-    writev_at_64 = results[counts.size() + i].writev_mean;
-    if (hw >= 4) {
-      epoll_wins_64 =
-          results[counts.size() + i].ops_per_sec >= results[i].ops_per_sec;
-      compared_64 = true;
+  for (const ScaleResult& r : results) {
+    if (r.connections == 64) {
+      writev_at_64 = r.writev_mean;
     }
   }
   const bool have_64 = std::find(counts.begin(), counts.end(), 64) != counts.end();
   const bool writev_ok = !have_64 || writev_at_64 > 1.0;
-  const bool pass = digests_match && all_clean && writev_ok && epoll_wins_64;
+  const bool pass = digests_match && all_clean && writev_ok;
 
   std::vector<JsonObject> rows;
-  {
-    for (const ScaleResult& r : results) {
-      JsonObject row;
-      row.Add("io_model", IoModelName(r.model))
-          .Add("connections", static_cast<uint64_t>(r.connections))
-          .Add("total_ops", r.total_ops)
-          .Add("ops_per_sec", r.ops_per_sec)
-          .Add("p50_us", r.p50_us)
-          .Add("p95_us", r.p95_us)
-          .Add("p99_us", r.p99_us)
-          .Add("writev_frames_mean", r.writev_mean)
-          .Add("bytes_per_frame", r.bytes_per_frame)
-          .Add("digest", r.digest)
-          .AddBool("clean", r.clean);
-      rows.push_back(row);
-    }
-    JsonObject out;
-    out.Add("bench", "server_connection_scaling")
-        .Add("total_ops_target", static_cast<uint64_t>(total_ops))
-        .Add("hardware_threads", static_cast<uint64_t>(hw))
-        .AddBool("metrics_enabled", kMetricsCompiledIn)
-        .Add("rows", rows)
-        .AddBool("digests_match", digests_match)
-        .AddBool("all_clean", all_clean)
-        .Add("writev_frames_mean_at_64", writev_at_64)
-        .AddBool("writev_gate_ok", writev_ok)
-        .AddBool("epoll_throughput_compared", compared_64)
-        .AddBool("epoll_throughput_ok", epoll_wins_64)
-        .AddBool("pass", pass);
-    WriteBenchArtifact("BENCH_server_throughput.json", out);
-    if (json) {
-      out.Print();
-    }
+  for (const ScaleResult& r : results) {
+    JsonObject row;
+    row.Add("connections", static_cast<uint64_t>(r.connections))
+        .Add("total_ops", r.total_ops)
+        .Add("ops_per_sec", r.ops_per_sec)
+        .Add("p50_us", r.p50_us)
+        .Add("p95_us", r.p95_us)
+        .Add("p99_us", r.p99_us)
+        .Add("writev_frames_mean", r.writev_mean)
+        .Add("bytes_per_frame", r.bytes_per_frame)
+        .Add("digest", r.digest)
+        .Add("replay_digest", r.replay_digest)
+        .AddBool("clean", r.clean);
+    rows.push_back(row);
   }
-  if (!json) {
+  JsonObject out;
+  out.Add("bench", "server_connection_scaling")
+      .Add("total_ops_target", static_cast<uint64_t>(total_ops))
+      .Add("hardware_threads", static_cast<uint64_t>(hw))
+      .Add("rows", rows)
+      .AddBool("digests_match", digests_match)
+      .AddBool("all_clean", all_clean)
+      .Add("writev_frames_mean_at_64", writev_at_64)
+      .AddBool("writev_gate_ok", writev_ok)
+      .AddBool("pass", pass);
+  WriteBenchArtifact("BENCH_server_throughput.json", out);
+  if (json) {
+    out.Print();
+  } else {
     table.Print();
-    std::printf("\ndigests match across io models: %s\n",
-                digests_match ? "yes" : "NO");
+    std::printf("\ndigests match the serial replay: %s\n", digests_match ? "yes" : "NO");
     if (have_64) {
-      std::printf("epoll writev_frames mean @64 conns: %.2f (gate: > 1)\n",
-                  writev_at_64);
-    }
-    if (compared_64) {
-      std::printf("epoll >= thread-per-conn ops/sec @64 conns: %s\n",
-                  epoll_wins_64 ? "yes" : "NO");
-    } else {
-      std::printf("epoll-vs-blocking throughput gate skipped (%u hardware threads < 4)\n",
-                  hw);
+      std::printf("writev_frames mean @64 conns: %.2f (gate: > 1)\n", writev_at_64);
     }
   }
   return pass ? 0 : 1;
@@ -567,7 +543,6 @@ int RunAll(bool json, const std::vector<Transport>& transports) {
       .Add("ops_per_thread", static_cast<uint64_t>(ops_per_thread))
       .Add("hardware_threads",
            static_cast<uint64_t>(std::thread::hardware_concurrency()))
-      .AddBool("metrics_enabled", kMetricsCompiledIn)
       .Add("rows", rows)
       .Add("read_heavy_scaling_1_to_8", scaling);
   WriteBenchArtifact("BENCH_server_throughput.json", out);

@@ -2,17 +2,18 @@
 // "helps to speed up Scan and Read operations". Caches Stat results by inode; mutations
 // invalidate. Shared across all HAC processes (the paper stores it in UNIX shared
 // memory for the same reason) — and, under the hacd service layer, across concurrent
-// reader threads, so the map is guarded by a mutex and the hit/miss counters are
-// atomic. The critical sections are a hash probe or a hash insert; Stat itself is
-// computed outside the lock.
+// reader threads, so the map is guarded by a mutex; hits and misses count on
+// counters exported as hac.attr_cache.{hits,misses}. The critical sections are a
+// hash probe or a hash insert; Stat itself is computed outside the lock.
 #ifndef HAC_CORE_ATTRIBUTE_CACHE_H_
 #define HAC_CORE_ATTRIBUTE_CACHE_H_
 
-#include <atomic>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 #include "src/vfs/types.h"
 
 namespace hac {
@@ -24,11 +25,11 @@ class AttributeCache {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = cache_.find(inode);
       if (it != cache_.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        hits_.Inc();
         return it->second;
       }
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.Inc();
     return std::nullopt;
   }
 
@@ -46,8 +47,8 @@ class AttributeCache {
     cache_.clear();
   }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_.Value(); }
+  uint64_t misses() const { return misses_.Value(); }
   size_t EntryCount() const {
     std::lock_guard<std::mutex> lock(mu_);
     return cache_.size();
@@ -60,8 +61,8 @@ class AttributeCache {
  private:
   mutable std::mutex mu_;
   std::unordered_map<InodeId, Stat> cache_;
-  std::atomic<uint64_t> hits_ = 0;
-  std::atomic<uint64_t> misses_ = 0;
+  Counter hits_{metric_names::kAttrCacheHits};
+  Counter misses_{metric_names::kAttrCacheMisses};
 };
 
 }  // namespace hac

@@ -10,29 +10,9 @@
 
 #include "src/core/hac_file_system.h"
 #include "src/index/query_optimizer.h"
-#include "src/support/metric_names.h"
-#include "src/support/metrics.h"
 #include "src/vfs/path.h"
 
 namespace hac {
-
-namespace {
-
-struct ReindexMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& docs_indexed = reg.GetCounter(metric_names::kReindexDocsIndexed);
-  Counter& docs_purged = reg.GetCounter(metric_names::kReindexDocsPurged);
-  Counter& auto_reindexes = reg.GetCounter(metric_names::kReindexAuto);
-  Counter& remote_searches = reg.GetCounter(metric_names::kRemoteSearches);
-  Counter& remote_imports = reg.GetCounter(metric_names::kRemoteImports);
-};
-
-ReindexMetrics& GM() {
-  static ReindexMetrics* m = new ReindexMetrics();
-  return *m;
-}
-
-}  // namespace
 
 Result<Bitmap> HacFileSystem::DirContentsOfUid(DirUid uid) const {
   // What a dir(X) reference denotes: X's current (edited) link set plus the files
@@ -101,8 +81,7 @@ Result<void> HacFileSystem::ImportRemoteResults(const SemanticMount& mount,
                                                 const QueryExpr& query) {
   QueryExprPtr content = ContentOnly(query);
   for (NameSpace* space : mount.spaces) {
-    ++stats_.remote_searches;
-    GM().remote_searches.Inc();
+    counters_.remote_searches.Inc();
     HAC_ASSIGN_OR_RETURN(std::vector<RemoteDoc> docs, space->Search(*content));
     if (docs.empty()) {
       continue;
@@ -141,10 +120,8 @@ Result<void> HacFileSystem::ImportRemoteResults(const SemanticMount& mount,
       HAC_RETURN_IF_ERROR(index_->IndexDocument(id, body));
       registry_.ClearDirty(id);
       engine_->NoteDocChanged(id);
-      ++stats_.remote_imports;
-      ++stats_.docs_indexed;
-      GM().remote_imports.Inc();
-      GM().docs_indexed.Inc();
+      counters_.remote_imports.Inc();
+      counters_.docs_indexed.Inc();
     }
   }
   return OkResult();
@@ -161,8 +138,7 @@ Result<void> HacFileSystem::FlushDirtyDocs(const std::string& subtree_root) {
     }
     if (!rec->alive) {
       if (index_->RemoveDocument(doc).ok()) {
-        ++stats_.docs_purged;
-        GM().docs_purged.Inc();
+        counters_.docs_purged.Inc();
       }
       registry_.ClearDirty(doc);
       engine_->NoteDocChanged(doc);
@@ -175,8 +151,7 @@ Result<void> HacFileSystem::FlushDirtyDocs(const std::string& subtree_root) {
       continue;  // transiently unreadable; stays dirty
     }
     HAC_RETURN_IF_ERROR(index_->IndexDocument(doc, body.value()));
-    ++stats_.docs_indexed;
-    GM().docs_indexed.Inc();
+    counters_.docs_indexed.Inc();
     registry_.ClearDirty(doc);
     engine_->NoteDocChanged(doc);
   }
@@ -218,8 +193,7 @@ void HacFileSystem::MaybeAutoReindex() {
       break;
   }
   if (due && !engine_->InPass() && !engine_->InBatch()) {
-    ++stats_.auto_reindexes;
-    GM().auto_reindexes.Inc();
+    counters_.auto_reindexes.Inc();
     (void)Reindex();
   }
 }

@@ -24,19 +24,10 @@ namespace hac {
 
 namespace {
 
-// Process-global twins of the per-instance StatsSnapshot counters (which tests and
-// ablations still read per HacFileSystem). References are resolved once.
+// Events no HacFileSystem reports in Stats(); the rest go to host_->counters_.
 struct EngineMetrics {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& query_evaluations = reg.GetCounter(metric_names::kConsistencyQueryEvaluations);
-  Counter& delta_evaluations = reg.GetCounter(metric_names::kConsistencyDeltaEvaluations);
-  Counter& scope_propagations = reg.GetCounter(metric_names::kConsistencyScopePropagations);
-  Counter& short_circuits = reg.GetCounter(metric_names::kConsistencyShortCircuits);
-  Counter& batch_flushes = reg.GetCounter(metric_names::kConsistencyBatchFlushes);
-  Counter& batched_mutations = reg.GetCounter(metric_names::kConsistencyBatchedMutations);
   Counter& passes = reg.GetCounter(metric_names::kConsistencyPasses);
-  Counter& transient_added = reg.GetCounter(metric_names::kLinksTransientAdded);
-  Counter& transient_removed = reg.GetCounter(metric_names::kLinksTransientRemoved);
   Histogram& pass_us = reg.GetHistogram(metric_names::kConsistencyPassUs);
 };
 
@@ -72,8 +63,7 @@ Result<void> ConsistencyEngine::NotifyScopeChanged(DirUid uid, const Bitmap* con
     return OkResult();  // folded into the next flush (remote imports, mid-pass edits)
   }
   if (batch_depth_ > 0) {
-    ++host_->stats_.batched_mutations;
-    GM().batched_mutations.Inc();
+    host_->counters_.batched_mutations.Inc();
     batch_dirty_ = true;
     return OkResult();
   }
@@ -103,17 +93,15 @@ Result<void> ConsistencyEngine::SyncFrom(DirUid uid) {
   }
   if (mode_ == ConsistencyMode::kEager) {
     TraceSpan span(metric_names::kSpanConsistencyPass);
-    const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+    const uint64_t t0 = TraceRing::NowUs();
     in_pass_ = true;
     uint64_t visited = 1;
     Result<void> status = VisitEager(uid);
-    ++host_->stats_.scope_propagations;
-    GM().scope_propagations.Inc();
+    host_->counters_.scope_propagations.Inc();
     if (status.ok()) {
       for (DirUid dep : host_->graph_.DependentsInTopoOrder(uid)) {
         status = VisitEager(dep);
-        ++host_->stats_.scope_propagations;
-        GM().scope_propagations.Inc();
+        host_->counters_.scope_propagations.Inc();
         ++visited;
         if (!status.ok()) {
           break;
@@ -122,16 +110,13 @@ Result<void> ConsistencyEngine::SyncFrom(DirUid uid) {
     }
     in_pass_ = false;
     GM().passes.Inc();
-    if (kMetricsCompiledIn) {
-      GM().pass_us.Record(TraceRing::NowUs() - t0);
-    }
+    GM().pass_us.Record(TraceRing::NowUs() - t0);
     span.Arg("origins", 1);
     span.Arg("visited", visited);
     return status;
   }
   if (batch_dirty_) {
-    ++host_->stats_.batch_flushes;
-    GM().batch_flushes.Inc();
+    host_->counters_.batch_flushes.Inc();
     batch_dirty_ = false;
   }
   std::map<DirUid, Bitmap> origins = std::move(pending_origins_);
@@ -146,14 +131,13 @@ Result<void> ConsistencyEngine::PropagateAll() {
   }
   if (mode_ == ConsistencyMode::kEager) {
     TraceSpan span(metric_names::kSpanConsistencyPass);
-    const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+    const uint64_t t0 = TraceRing::NowUs();
     in_pass_ = true;
     uint64_t visited = 0;
     Result<void> status = OkResult();
     for (DirUid uid : host_->graph_.FullTopoOrder()) {
       status = VisitEager(uid);
-      ++host_->stats_.scope_propagations;
-      GM().scope_propagations.Inc();
+      host_->counters_.scope_propagations.Inc();
       ++visited;
       if (!status.ok()) {
         break;
@@ -161,15 +145,12 @@ Result<void> ConsistencyEngine::PropagateAll() {
     }
     in_pass_ = false;
     GM().passes.Inc();
-    if (kMetricsCompiledIn) {
-      GM().pass_us.Record(TraceRing::NowUs() - t0);
-    }
+    GM().pass_us.Record(TraceRing::NowUs() - t0);
     span.Arg("visited", visited);
     return status;
   }
   if (batch_dirty_) {
-    ++host_->stats_.batch_flushes;
-    GM().batch_flushes.Inc();
+    host_->counters_.batch_flushes.Inc();
     batch_dirty_ = false;
   }
   std::map<DirUid, Bitmap> origins = std::move(pending_origins_);
@@ -195,8 +176,7 @@ Result<void> ConsistencyEngine::Flush() {
     return OkResult();
   }
   if (batch_dirty_) {
-    ++host_->stats_.batch_flushes;
-    GM().batch_flushes.Inc();
+    host_->counters_.batch_flushes.Inc();
     batch_dirty_ = false;
   }
   std::map<DirUid, Bitmap> origins = std::move(pending_origins_);
@@ -206,10 +186,11 @@ Result<void> ConsistencyEngine::Flush() {
 
 Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool full) {
   TraceSpan span(metric_names::kSpanConsistencyPass);
-  const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+  const uint64_t t0 = TraceRing::NowUs();
+  const FacadeCounters& counters = host_->counters_;
   const uint64_t evals_before =
-      host_->stats_.query_evaluations + host_->stats_.delta_evaluations;
-  const uint64_t short_circuits_before = host_->stats_.short_circuit_propagations;
+      counters.query_evaluations.Value() + counters.delta_evaluations.Value();
+  const uint64_t short_circuits_before = counters.short_circuit_propagations.Value();
   in_pass_ = true;
   ++gen_;
   std::vector<std::vector<DirUid>> levels;
@@ -247,16 +228,13 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
   }
   in_pass_ = false;
   GM().passes.Inc();
-  if (kMetricsCompiledIn) {
-    GM().pass_us.Record(TraceRing::NowUs() - t0);
-  }
+  GM().pass_us.Record(TraceRing::NowUs() - t0);
   span.Arg("origins", origins.size());
   span.Arg("visited", visited);
-  span.Arg("docs_reevaluated",
-           host_->stats_.query_evaluations + host_->stats_.delta_evaluations -
-               evals_before);
+  span.Arg("docs_reevaluated", counters.query_evaluations.Value() +
+                                   counters.delta_evaluations.Value() - evals_before);
   span.Arg("cache_hits",
-           host_->stats_.short_circuit_propagations - short_circuits_before);
+           counters.short_circuit_propagations.Value() - short_circuits_before);
   if (!status.ok()) {
     // Hand the unconsumed deltas back so the next flush retries; dropping them would
     // let downstream caches go quietly stale.
@@ -299,8 +277,7 @@ Result<void> ConsistencyEngine::VisitEager(DirUid uid) {
   DirResolver resolver = [this](DirUid ref) -> Result<Bitmap> {
     return host_->DirContentsOfUid(ref);
   };
-  ++host_->stats_.query_evaluations;
-  GM().query_evaluations.Inc();
+  host_->counters_.query_evaluations.Inc();
   // The stored query stays as written (GetQuery renders it back); evaluation runs the
   // optimized form, re-derived here so selectivity ordering uses current statistics.
   QueryExprPtr optimized = OptimizeQuery(meta->query->Clone(), host_->index_.get());
@@ -362,8 +339,7 @@ Result<void> ConsistencyEngine::VisitIncremental(
   // Short-circuit: nothing this directory reads has changed since its last visit.
   if (mount == nullptr && meta->eval.valid && !is_origin &&
       dep_epoch_sum == meta->eval.dep_epoch_sum && doc_delta.Empty() && !dep_changed) {
-    ++host_->stats_.short_circuit_propagations;
-    GM().short_circuits.Inc();
+    host_->counters_.short_circuit_propagations.Inc();
     meta->eval.doc_gen_seen = gen_ - 1;
     return OkResult();
   }
@@ -379,8 +355,7 @@ Result<void> ConsistencyEngine::VisitIncremental(
   Bitmap delta;  // the Δ of a delta evaluation; also its link-refresh filter
   const bool full_eval = !meta->eval.valid;
   if (full_eval) {
-    ++host_->stats_.query_evaluations;
-    GM().query_evaluations.Inc();
+    host_->counters_.query_evaluations.Inc();
     HAC_ASSIGN_OR_RETURN(raw, host_->index_->Evaluate(*optimized, parent_scope, &resolver));
   } else {
     Bitmap scope_added, scope_removed;
@@ -401,16 +376,14 @@ Result<void> ConsistencyEngine::VisitIncremental(
     Bitmap eval_scope = parent_scope;
     eval_scope &= delta;
     if (!eval_scope.Empty()) {
-      ++host_->stats_.delta_evaluations;
-      GM().delta_evaluations.Inc();
+      host_->counters_.delta_evaluations.Inc();
       HAC_ASSIGN_OR_RETURN(Bitmap part,
                            host_->index_->Evaluate(*optimized, eval_scope, &resolver));
       raw |= part;
     }
   }
 
-  ++host_->stats_.scope_propagations;
-  GM().scope_propagations.Inc();
+  host_->counters_.scope_propagations.Inc();
   Bitmap transient_delta;
   HAC_RETURN_IF_ERROR(MaterializeTransients(uid, path, raw,
                                             full_eval ? nullptr : &delta,
@@ -461,8 +434,7 @@ Result<void> ConsistencyEngine::MaterializeTransients(DirUid uid, const std::str
     }
     (void)meta->links.RemoveLink(name.value());
     (void)host_->vfs_.Unlink(JoinPath(path == "/" ? "" : path, name.value()));
-    ++host_->stats_.transient_links_removed;
-    GM().transient_removed.Inc();
+    host_->counters_.transient_links_removed.Inc();
   });
   HAC_RETURN_IF_ERROR(status);
 
@@ -489,8 +461,7 @@ Result<void> ConsistencyEngine::MaterializeTransients(DirUid uid, const std::str
       status = s;
       return;
     }
-    ++host_->stats_.transient_links_added;
-    GM().transient_added.Inc();
+    host_->counters_.transient_links_added.Inc();
   });
   HAC_RETURN_IF_ERROR(status);
 

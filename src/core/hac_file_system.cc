@@ -4,27 +4,9 @@
 
 #include <algorithm>
 
-#include "src/support/metric_names.h"
-#include "src/support/metrics.h"
 #include "src/vfs/path.h"
 
 namespace hac {
-
-namespace {
-
-Counter& AttrCacheHitCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter(metric_names::kAttrCacheHits);
-  return c;
-}
-
-Counter& AttrCacheMissCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter(metric_names::kAttrCacheMisses);
-  return c;
-}
-
-}  // namespace
 
 HacFileSystem::HacFileSystem(HacOptions options)
     : options_(options),
@@ -188,22 +170,7 @@ Result<std::vector<DirEntry>> HacFileSystem::ReadDir(const std::string& path) {
 // Streaming reads (core/paging.h)
 // ---------------------------------------------------------------------------
 
-uint64_t HacFileSystem::MutationEpoch() const {
-  // Journaled records cover every acknowledged user mutation; reindexing settles
-  // deferred data consistency without journaling, so its ingest/purge counters
-  // fold in too. Monotone: drains don't reset RecordCount().
-  return journal_.RecordCount() + stats_.docs_indexed.load(std::memory_order_relaxed) +
-         stats_.docs_purged.load(std::memory_order_relaxed);
-}
-
 namespace {
-
-Error StaleCursorError(uint64_t token_epoch, uint64_t epoch) {
-  return Error(ErrorCode::kStaleCursor,
-               "page token epoch " + std::to_string(token_epoch) +
-                   " superseded by " + std::to_string(epoch) +
-                   "; restart from the first page");
-}
 
 void ClampPage(size_t* max_entries, size_t* max_bytes) {
   if (*max_entries == 0) {
@@ -226,13 +193,7 @@ Result<DirPageResult> HacFileSystem::ReadDirPage(const std::string& path,
     HAC_RETURN_IF_ERROR(engine_->Flush());
   }
   ClampPage(&max_entries, &max_bytes);
-  const uint64_t epoch = MutationEpoch();
   const bool resuming = token != nullptr && !token->at_start;
-  // A token with no delivered position yet has nothing to invalidate: it rebases
-  // onto the current epoch instead of failing (open-then-write-then-fetch works).
-  if (resuming && token->epoch != epoch) {
-    return StaleCursorError(token->epoch, epoch);
-  }
   const std::string& after = resuming ? token->last_name : std::string();
   DirPageResult page;
   if (r.local) {
@@ -257,7 +218,6 @@ Result<DirPageResult> HacFileSystem::ReadDirPage(const std::string& path,
     }
   }
   page.next = token != nullptr ? *token : PageToken{};
-  page.next.epoch = epoch;
   if (!page.entries.empty()) {
     page.next.at_start = false;
     page.next.last_name = page.entries.back().name;
@@ -571,12 +531,8 @@ Result<Stat> HacFileSystem::StatPath(const std::string& path) {
   // Phase-3 path: resolve, then consult the shared attribute cache.
   HAC_ASSIGN_OR_RETURN(InodeId inode, vfs_.Lookup(r.path, /*follow_final=*/true));
   if (auto cached = attr_cache_.Get(inode); cached.has_value()) {
-    ++stats_.attr_cache_hits;
-    AttrCacheHitCounter().Inc();
     return *cached;
   }
-  ++stats_.attr_cache_misses;
-  AttrCacheMissCounter().Inc();
   HAC_ASSIGN_OR_RETURN(Stat st, vfs_.StatPath(r.path));
   attr_cache_.Put(inode, st);
   return st;
@@ -608,7 +564,20 @@ Result<void> HacFileSystem::SetCurrentProcess(ProcessId pid) {
 }
 
 StatsSnapshot HacFileSystem::Stats() const {
-  StatsSnapshot s = stats_;
+  StatsSnapshot s;
+  s.query_evaluations = counters_.query_evaluations.Value();
+  s.delta_evaluations = counters_.delta_evaluations.Value();
+  s.scope_propagations = counters_.scope_propagations.Value();
+  s.short_circuit_propagations = counters_.short_circuit_propagations.Value();
+  s.batch_flushes = counters_.batch_flushes.Value();
+  s.batched_mutations = counters_.batched_mutations.Value();
+  s.transient_links_added = counters_.transient_links_added.Value();
+  s.transient_links_removed = counters_.transient_links_removed.Value();
+  s.docs_indexed = counters_.docs_indexed.Value();
+  s.docs_purged = counters_.docs_purged.Value();
+  s.auto_reindexes = counters_.auto_reindexes.Value();
+  s.remote_searches = counters_.remote_searches.Value();
+  s.remote_imports = counters_.remote_imports.Value();
   s.attr_cache_hits = attr_cache_.hits();
   s.attr_cache_misses = attr_cache_.misses();
   s.index = index_->Stats();

@@ -112,24 +112,21 @@ class HacFileSystem final : public FsInterface {
 
   // --- streaming reads (core/paging.h) ---
   //
-  // Counts every acknowledged mutation: journaled user operations plus reindex
-  // ingest/purge (reindexing settles deferred data consistency without
-  // journaling). Monotone; a page sequence whose token epoch no longer matches
-  // is refused with kStaleCursor.
-  uint64_t MutationEpoch() const;
-
-  // Paged ReadDir: the page of entries after `token` (nullptr = first page).
-  // max_entries/max_bytes of 0 pick kDefaultPageEntries/kDefaultPageBytes;
-  // entries are capped at kMaxPageEntries. Concatenating pages at a quiesced
-  // epoch reproduces ReadDir exactly; an epoch mismatch returns kStaleCursor and
-  // the caller restarts from the first page.
+  // Paged ReadDir: the page of entries named strictly after the token's last
+  // name (nullptr = first page), in name order. max_entries/max_bytes of 0 pick
+  // kDefaultPageEntries/kDefaultPageBytes; entries are capped at kMaxPageEntries.
+  // Concatenating pages with no concurrent writes reproduces ReadDir exactly.
+  // Writes between pages never fail the sequence (POSIX readdir semantics): an
+  // entry present for the whole sequence is delivered exactly once, and entries
+  // added or removed meanwhile may or may not appear.
   Result<DirPageResult> ReadDirPage(const std::string& path, const PageToken* token,
                                     size_t max_entries = 0, size_t max_bytes = 0);
 
   // Paged Search: pulls the next page of matches lazily through a PostingCursor
   // tree (index/posting_cursor.h) instead of materializing the result bitmap.
-  // Paths come back in DocId order; the union of pages at a quiesced epoch
-  // equals Search() as a set. Token semantics as in ReadDirPage.
+  // Paths come back in DocId order, resuming strictly after the token's last
+  // DocId; with no concurrent writes the union of pages equals Search() as a set.
+  // Resume semantics as in ReadDirPage.
   Result<SearchPageResult> SearchPage(const std::string& query,
                                       const std::string& scope_dir,
                                       const PageToken* token,
@@ -194,8 +191,8 @@ class HacFileSystem final : public FsInterface {
   }
   // Drops the buffered journal records undecoded. A service with no durable store
   // calls this after each write batch, so memory does not grow with every byte ever
-  // written; MutationEpoch() keeps counting.
-  void DiscardJournal() { journal_.Discard(); }
+  // written.
+  void DiscardJournal() { journal_.Clear(); }
   // Unified counter snapshot: facade counters plus the index and VFS component views.
   StatsSnapshot Stats() const;
 
@@ -287,7 +284,7 @@ class HacFileSystem final : public FsInterface {
   ProcessId current_process_ = 0;
 
   std::unique_ptr<ConsistencyEngine> engine_;
-  StatsSnapshot stats_;
+  FacadeCounters counters_;
   uint64_t content_mutations_since_reindex_ = 0;
   uint64_t last_reindex_tick_ = 0;
   bool batch_had_content_mutation_ = false;  // auto-reindex check deferred to EndBatch

@@ -42,7 +42,7 @@ void MetadataJournal::Append(JournalOp op, uint64_t subject, std::string_view a,
   frame.PutVarint(rec.size());
   buf_.insert(buf_.end(), frame.buffer().begin(), frame.buffer().end());
   buf_.insert(buf_.end(), rec.begin(), rec.end());
-  ++records_;
+  ++pending_;
 }
 
 Result<std::vector<JournalRecord>> MetadataJournal::Decode() const {
@@ -88,19 +88,13 @@ std::vector<JournalRecord> MetadataJournal::Drain(size_t max_records) {
     consumed = buf_.size() - r.remaining();
   }
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(consumed));
-  drained_ += out.size();
+  pending_ -= out.size();
   return out;
-}
-
-void MetadataJournal::Discard() {
-  buf_.clear();
-  drained_ = records_;
 }
 
 void MetadataJournal::Clear() {
   buf_.clear();
-  records_ = 0;
-  drained_ = 0;
+  pending_ = 0;
 }
 
 }  // namespace hac

@@ -98,22 +98,16 @@ class MetadataJournal {
   // long-running server's buffer holds only the records not yet on disk.
   std::vector<JournalRecord> Drain(size_t max_records = 0);
 
-  // Drops every buffered record undecoded, for owners that keep no WAL (nothing will
-  // ever drain them). Like Drain, leaves RecordCount() monotone.
-  void Discard();
-
   size_t SizeBytes() const { return buf_.size(); }
-  // Records appended since construction/Clear (draining or discarding does not
-  // reset this).
-  uint64_t RecordCount() const { return records_; }
-  // Records currently buffered (appended - drained).
-  uint64_t PendingRecords() const { return records_ - drained_; }
+  // Records currently buffered (appended and not yet drained or cleared).
+  uint64_t PendingRecords() const { return pending_; }
+  // Drops every buffered record undecoded, for owners that keep no WAL (nothing will
+  // ever drain them).
   void Clear();
 
  private:
   std::vector<uint8_t> buf_;
-  uint64_t records_ = 0;
-  uint64_t drained_ = 0;
+  uint64_t pending_ = 0;
 };
 
 }  // namespace hac

@@ -4,13 +4,11 @@
 //
 // A PageToken is deliberately tiny re-execution state, not a live iterator: the
 // position reached so far (last entry name for directory enumeration, last DocId
-// for search) plus the mutation epoch the sequence started at. Each page is
-// produced by re-seeking past that position, so nothing — no VFS iterators, no
-// posting-list pointers — survives between pages. The epoch pins consistency:
-// any acknowledged mutation (journaled user operation, or reindex ingest/purge)
-// bumps HacFileSystem::MutationEpoch(), and a token minted under an older epoch
-// is refused with kStaleCursor. Callers restart from page one — the documented
-// retry semantics, mirroring kStaleExport for remote exports.
+// for search). Each page is produced by re-seeking strictly past that position, so
+// nothing — no VFS iterators, no posting-list pointers — survives between pages,
+// and writes between pages never invalidate a token. This is POSIX readdir
+// semantics: an entry present for the whole sequence is delivered exactly once, in
+// order; entries added or removed meanwhile may or may not appear.
 #ifndef HAC_CORE_PAGING_H_
 #define HAC_CORE_PAGING_H_
 
@@ -32,7 +30,6 @@ inline constexpr size_t kMaxPageEntries = 4096;
 inline constexpr size_t kDefaultPageBytes = 256 << 10;
 
 struct PageToken {
-  uint64_t epoch = 0;       // MutationEpoch() the sequence started at
   bool at_start = true;     // no page delivered yet; position fields unset
   uint64_t last_doc = 0;    // search: last DocId delivered
   std::string last_name;    // readdir: last entry name delivered

@@ -47,7 +47,7 @@ Result<void> HacFileSystem::SetQuery(const std::string& path, const std::string&
       }
       (void)meta->links.RemoveLink(name.value());
       (void)vfs_.Unlink(JoinPath(r.path == "/" ? "" : r.path, name.value()));
-      ++stats_.transient_links_removed;
+      counters_.transient_links_removed.Inc();
     });
     HAC_RETURN_IF_ERROR(status);
     HAC_ASSIGN_OR_RETURN(std::vector<DirUid> deps, ComputeDeps(uid, r.path, nullptr));
@@ -196,15 +196,7 @@ Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
   if (max_bytes == 0) {
     max_bytes = kDefaultPageBytes;
   }
-  const uint64_t epoch = MutationEpoch();
   const bool resuming = token != nullptr && !token->at_start;
-  // As in ReadDirPage: an at_start token rebases onto the current epoch.
-  if (resuming && token->epoch != epoch) {
-    return Error(ErrorCode::kStaleCursor,
-                 "page token epoch " + std::to_string(token->epoch) +
-                     " superseded by " + std::to_string(epoch) +
-                     "; restart from the first page");
-  }
   // Parse and bind exactly as Search() does; the difference is downstream — a
   // lazy cursor pull instead of a materialized result bitmap.
   HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
@@ -231,7 +223,6 @@ Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
       resuming ? static_cast<uint32_t>(token->last_doc) + 1 : 0;
   SearchPageResult page;
   page.next = token != nullptr ? *token : PageToken{};
-  page.next.epoch = epoch;
   size_t bytes = 0;
   for (uint32_t doc = cursor->SeekGE(start); doc != PostingCursor::kCursorEnd;
        doc = cursor->Next()) {

@@ -12,9 +12,9 @@ namespace hac {
 
 namespace {
 
+// Events no InvertedIndex reports in Stats(); queries are its own counter.
 struct IndexMetrics {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& queries = reg.GetCounter(metric_names::kIndexQueries);
   Counter& docs_indexed = reg.GetCounter(metric_names::kIndexDocsIndexed);
   Counter& docs_removed = reg.GetCounter(metric_names::kIndexDocsRemoved);
   Histogram& query_us = reg.GetHistogram(metric_names::kIndexQueryUs);
@@ -88,10 +88,9 @@ Result<void> InvertedIndex::RemoveDocument(DocId doc) {
 
 Result<Bitmap> InvertedIndex::Evaluate(const QueryExpr& query, const Bitmap& scope,
                                        const DirResolver* resolve_dir) {
-  ++queries_evaluated_;
-  GM().queries.Inc();
+  queries_evaluated_.Inc();
   TraceSpan span(metric_names::kSpanIndexEvaluate);
-  const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+  const uint64_t t0 = TraceRing::NowUs();
   HAC_ASSIGN_OR_RETURN(Bitmap result, EvaluateNode(query, scope, resolve_dir));
   if (fetch_content_) {
     // Two-level verification pass (see SetContentVerifier).
@@ -104,17 +103,15 @@ Result<Bitmap> InvertedIndex::Evaluate(const QueryExpr& query, const Bitmap& sco
     });
     result = std::move(verified);
   }
-  if (kMetricsCompiledIn) {
-    GM().query_us.Record(TraceRing::NowUs() - t0);
-    const uint64_t scope_count = scope.Count();
-    const uint64_t hits = result.Count();
-    if (scope_count > 0) {
-      // Scope-filter selectivity: fraction of the candidate scope the query kept.
-      GM().selectivity_pct.Record(hits * 100 / scope_count);
-    }
-    span.Arg("scope", scope_count);
-    span.Arg("hits", hits);
+  GM().query_us.Record(TraceRing::NowUs() - t0);
+  const uint64_t scope_count = scope.Count();
+  const uint64_t hits = result.Count();
+  if (scope_count > 0) {
+    // Scope-filter selectivity: fraction of the candidate scope the query kept.
+    GM().selectivity_pct.Record(hits * 100 / scope_count);
   }
+  span.Arg("scope", scope_count);
+  span.Arg("hits", hits);
   return result;
 }
 
@@ -227,8 +224,7 @@ Result<Bitmap> InvertedIndex::EvaluateNode(const QueryExpr& node, const Bitmap& 
 Result<PostingCursorPtr> InvertedIndex::OpenCursor(const QueryExpr& query,
                                                    const Bitmap& scope,
                                                    const DirResolver* resolve_dir) const {
-  ++queries_evaluated_;
-  GM().queries.Inc();
+  queries_evaluated_.Inc();
   PostingCursorPtr root;
   if (query.kind == QueryKind::kAll) {
     root = std::make_unique<BitmapCursor>(scope);
@@ -401,7 +397,7 @@ CbaStats InvertedIndex::Stats() const {
   for (const PostingList& p : postings_) {
     s.postings += p.Size();
   }
-  s.queries_evaluated = queries_evaluated_;
+  s.queries_evaluated = queries_evaluated_.Value();
   return s;
 }
 

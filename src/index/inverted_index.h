@@ -6,7 +6,6 @@
 #ifndef HAC_INDEX_INVERTED_INDEX_H_
 #define HAC_INDEX_INVERTED_INDEX_H_
 
-#include <atomic>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -16,6 +15,8 @@
 #include "src/index/posting_cursor.h"
 #include "src/index/posting_list.h"
 #include "src/index/tokenizer.h"
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 
 namespace hac {
 
@@ -92,8 +93,9 @@ class InvertedIndex final : public CbaMechanism {
   std::vector<const std::string*> term_names_;   // TermId -> dictionary key
   std::unordered_map<DocId, std::vector<TermId>> doc_terms_;
   ContentFetcher fetch_content_;
-  // Atomic: concurrent service readers evaluate queries under a shared lock.
-  mutable std::atomic<uint64_t> queries_evaluated_ = 0;
+  // Exported as hac.index.queries. Mutable: OpenCursor is const, and concurrent
+  // service readers evaluate queries under a shared lock.
+  mutable Counter queries_evaluated_{metric_names::kIndexQueries};
 };
 
 }  // namespace hac

@@ -1,5 +1,5 @@
 // ServiceClient: the in-process ClientApi implementation — what a library consumer
-// (or the TCP transport's server side) uses per connection. It owns one Session and
+// uses per connection. It owns one Session and
 // its Transport() blocks on the service's future for each call, so a client observes
 // its own writes in program order (the service completes a write's future only after
 // its batch has committed).

@@ -79,10 +79,11 @@ class ClientApi {
   // (every fetch failure auto-closes server-side), or the idle sweep harvests it.
   virtual Result<Fd> OpenCursor(const std::string& path,
                                 const std::string& query = "") = 0;
-  // Pulls the next page (max_entries 0 = server default). A mutation between
-  // pages invalidates the cursor: the fetch fails kStaleCursor and the cursor is
-  // gone — reopen and restart. has_more=false means the cursor is exhausted but
-  // still open (a final CloseCursor is still the caller's job).
+  // Pulls the next page (max_entries 0 = server default), resuming strictly after
+  // the last entry delivered: writes between pages never fail a cursor, an entry
+  // present for the whole drain arrives exactly once, and entries added or removed
+  // meanwhile may or may not appear. has_more=false means the cursor is exhausted
+  // but still open (a final CloseCursor is still the caller's job).
   virtual Result<CursorPage> FetchPage(Fd cursor, size_t max_entries = 0) = 0;
   virtual Result<void> CloseCursor(Fd cursor) = 0;
 

@@ -19,15 +19,11 @@ namespace hac {
 
 namespace {
 
+// Reactor-wide events no TcpServer reports in Stats(); the rest are recorded on
+// the server's TransportCounters (ReactorShared::counters).
 struct ReactorMetrics {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& bytes_in = reg.GetCounter(metric_names::kServerBytesIn);
-  Counter& bytes_out = reg.GetCounter(metric_names::kServerBytesOut);
-  Counter& connections_closed = reg.GetCounter(metric_names::kServerConnectionsClosed);
-  Counter& wire_errors = reg.GetCounter(metric_names::kServerWireErrors);
   Counter& epoll_wakeups = reg.GetCounter(metric_names::kServerEpollWakeups);
-  Counter& backpressure_stalls = reg.GetCounter(metric_names::kServerBackpressureStalls);
-  Counter& idle_closes = reg.GetCounter(metric_names::kServerIdleCloses);
   Gauge& open_connections = reg.GetGauge(metric_names::kServerOpenConnections);
   Histogram& frames_per_wake = reg.GetHistogram(metric_names::kServerFramesPerWake);
   Histogram& writev_frames = reg.GetHistogram(metric_names::kServerWritevFrames);
@@ -161,8 +157,8 @@ void EpollReactor::Run() {
       shutdown_issued_ = true;
       for (auto& [fd, c] : conns_) {
         // Drop the peer: pending responses are not deliverable once the server
-        // stops (matches thread-per-connection Stop()). In-flight service work
-        // still completes; its responses are discarded at drain.
+        // stops. In-flight service work still completes; its responses are
+        // discarded at drain.
         ::shutdown(c->fd, SHUT_RDWR);
         c->peer_eof = true;
         c->write_dead = true;
@@ -186,8 +182,7 @@ void EpollReactor::Run() {
   std::lock_guard<std::mutex> lk(adopt_mu_);
   for (int fd : adopt_pending_) {
     ::close(fd);
-    shared_.connections_closed->fetch_add(1, std::memory_order_relaxed);
-    RM().connections_closed.Inc();
+    shared_.counters->connections_closed.Inc();
     RM().open_connections.Add(-1);
     shared_.active_connections->fetch_sub(1, std::memory_order_relaxed);
   }
@@ -206,8 +201,7 @@ void EpollReactor::AdoptPending() {
   for (int fd : fds) {
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
-      shared_.connections_closed->fetch_add(1, std::memory_order_relaxed);
-      RM().connections_closed.Inc();
+      shared_.counters->connections_closed.Inc();
       RM().open_connections.Add(-1);
       shared_.active_connections->fetch_sub(1, std::memory_order_relaxed);
       continue;
@@ -251,8 +245,7 @@ void EpollReactor::HandleReadable(Conn* c) {
   for (;;) {
     ssize_t r = ::recv(c->fd, buf, sizeof(buf), 0);
     if (r > 0) {
-      shared_.bytes_in->fetch_add(static_cast<uint64_t>(r), std::memory_order_relaxed);
-      RM().bytes_in.Inc(static_cast<uint64_t>(r));
+      shared_.counters->bytes_in.Inc(static_cast<uint64_t>(r));
       c->decoder.Feed(buf, static_cast<size_t>(r));
       continue;  // level-triggered: read until EAGAIN so one wake drains the socket
     }
@@ -284,7 +277,7 @@ void EpollReactor::HandleReadable(Conn* c) {
       break;
     }
     FrameDecoder::Frame frame = std::move(*next.value());
-    shared_.frames_in->fetch_add(1, std::memory_order_relaxed);
+    shared_.counters->frames_in.Inc();
     ++frames_this_wake;
     c->last_frame = std::chrono::steady_clock::now();
     if (frame.kind != FrameKind::kRequest) {
@@ -323,8 +316,7 @@ void EpollReactor::HandleReadable(Conn* c) {
 }
 
 void EpollReactor::WireError(Conn* c, const Error& err) {
-  shared_.wire_errors->fetch_add(1, std::memory_order_relaxed);
-  RM().wire_errors.Inc();
+  shared_.counters->wire_errors.Inc();
   // The error is sequenced like a response so every request decoded before the
   // damage still answers first — then the connection closes (framing cannot
   // resynchronize after header damage).
@@ -438,8 +430,7 @@ void EpollReactor::Flush(Conn* c) {
       return;
     }
     RM().writev_frames.Record(static_cast<uint64_t>(cnt));
-    shared_.bytes_out->fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-    RM().bytes_out.Inc(static_cast<uint64_t>(n));
+    shared_.counters->bytes_out.Inc(static_cast<uint64_t>(n));
     size_t left = static_cast<size_t>(n);
     while (left > 0) {
       std::vector<uint8_t>& front = c->outq.front();
@@ -448,7 +439,7 @@ void EpollReactor::Flush(Conn* c) {
         left -= avail;
         c->out_bytes -= avail;
         c->out_head_off = 0;
-        shared_.frames_out->fetch_add(1, std::memory_order_relaxed);
+        shared_.counters->frames_out.Inc();
         RecycleBuffer(std::move(front));
         c->outq.pop_front();
       } else {
@@ -478,8 +469,7 @@ void EpollReactor::UpdateInterest(Conn* c) {
 void EpollReactor::PauseReading(Conn* c) {
   c->reading_paused = true;
   UpdateInterest(c);
-  shared_.backpressure_stalls->fetch_add(1, std::memory_order_relaxed);
-  RM().backpressure_stalls.Inc();
+  shared_.counters->backpressure_stalls.Inc();
 }
 
 void EpollReactor::ResumeReading(Conn* c) {
@@ -513,8 +503,7 @@ void EpollReactor::SweepIdle() {
     if (now - c->last_frame < limit) {
       continue;
     }
-    shared_.idle_closes->fetch_add(1, std::memory_order_relaxed);
-    RM().idle_closes.Inc();
+    shared_.counters->idle_closes.Inc();
     ::shutdown(c->fd, SHUT_RDWR);
     c->peer_eof = true;
     c->write_dead = true;
@@ -545,8 +534,7 @@ void EpollReactor::CloseConn(Conn* c) {
   // captures nothing but the service.
   shared_.service->CloseSessionAsync(c->session);
   c->session = nullptr;
-  shared_.connections_closed->fetch_add(1, std::memory_order_relaxed);
-  RM().connections_closed.Inc();
+  shared_.counters->connections_closed.Inc();
   RM().open_connections.Add(-1);
   shared_.active_connections->fetch_sub(1, std::memory_order_relaxed);
 }

@@ -1,9 +1,7 @@
 // EpollReactor: one event-loop thread owning an epoll instance and a shard of
-// hacd's TCP connections (TcpServerOptions::io_model = IoModel::kEpoll).
+// hacd's TCP connections (src/server/tcp_server.h).
 //
-// Where the thread-per-connection model spends one blocking reader thread, one
-// recv wake, and one synchronous send per request, a reactor multiplexes its whole
-// shard over nonblocking sockets:
+// A reactor multiplexes its whole shard over nonblocking sockets:
 //
 //   * Pipelining — every complete frame available at a recv wake is decoded and
 //     submitted to HacService::SubmitCallback immediately; responses complete on
@@ -43,22 +41,31 @@
 
 #include "src/server/hac_service.h"
 #include "src/server/wire.h"
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 #include "src/support/result.h"
 
 namespace hac {
 
-// Counters owned by TcpServer, shared by its reactors (and the blocking path) so
-// TcpServer::Stats() is one coherent view regardless of io_model.
+// The transport's event counters: owned by TcpServer, recorded by its accept loop
+// and reactors, read by TcpServer::Stats(). Named ones export as hac.server.*.
+struct TransportCounters {
+  Counter connections_opened{metric_names::kServerConnectionsOpened};
+  Counter connections_closed{metric_names::kServerConnectionsClosed};
+  Counter connections_rejected;
+  Counter frames_in;
+  Counter frames_out;
+  Counter wire_errors{metric_names::kServerWireErrors};
+  Counter bytes_in{metric_names::kServerBytesIn};
+  Counter bytes_out{metric_names::kServerBytesOut};
+  Counter idle_closes{metric_names::kServerIdleCloses};
+  Counter backpressure_stalls{metric_names::kServerBackpressureStalls};
+};
+
+// What a reactor shares with its TcpServer.
 struct ReactorShared {
   HacService* service = nullptr;
-  std::atomic<uint64_t>* frames_in = nullptr;
-  std::atomic<uint64_t>* frames_out = nullptr;
-  std::atomic<uint64_t>* wire_errors = nullptr;
-  std::atomic<uint64_t>* bytes_in = nullptr;
-  std::atomic<uint64_t>* bytes_out = nullptr;
-  std::atomic<uint64_t>* connections_closed = nullptr;
-  std::atomic<uint64_t>* idle_closes = nullptr;
-  std::atomic<uint64_t>* backpressure_stalls = nullptr;
+  TransportCounters* counters = nullptr;
   std::atomic<size_t>* active_connections = nullptr;
   size_t write_high_water = 1 << 20;
   size_t write_low_water = 128 << 10;

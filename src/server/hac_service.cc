@@ -20,18 +20,11 @@ ServerResponse ErrorResponse(Error e) {
   return r;
 }
 
+// Events no HacService reports in Stats(); the rest are its own counters. Cursor
+// counters stay here because the idle sweep (HarvestIdleCursors) has no service.
 struct ServiceMetrics {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& admitted_reads = reg.GetCounter(metric_names::kServiceAdmittedReads);
-  Counter& admitted_writes = reg.GetCounter(metric_names::kServiceAdmittedWrites);
-  Counter& rejected_queue_full = reg.GetCounter(metric_names::kServiceRejectedQueueFull);
-  Counter& shed_deadline = reg.GetCounter(metric_names::kServiceShedDeadline);
-  Counter& executed_reads = reg.GetCounter(metric_names::kServiceExecutedReads);
-  Counter& executed_writes = reg.GetCounter(metric_names::kServiceExecutedWrites);
-  Counter& write_batches = reg.GetCounter(metric_names::kServiceWriteBatches);
   Counter& introspect_requests = reg.GetCounter(metric_names::kServiceIntrospectRequests);
-  Counter& sessions_opened = reg.GetCounter(metric_names::kServiceSessionsOpened);
-  Counter& sessions_closed = reg.GetCounter(metric_names::kServiceSessionsClosed);
   Gauge& open_sessions = reg.GetGauge(metric_names::kServiceOpenSessions);
   Gauge& read_queue_depth = reg.GetGauge(metric_names::kServiceReadQueueDepth);
   Histogram& queue_wait_read_us = reg.GetHistogram(metric_names::kServiceQueueWaitReadUs);
@@ -43,7 +36,6 @@ struct ServiceMetrics {
       reg.GetHistogram(metric_names::kServiceWriteBatchSize, "requests");
   Counter& cursor_opened = reg.GetCounter(metric_names::kServerCursorOpened);
   Counter& cursor_closed = reg.GetCounter(metric_names::kServerCursorClosed);
-  Counter& cursor_stale = reg.GetCounter(metric_names::kServerCursorStale);
   Counter& cursor_harvested = reg.GetCounter(metric_names::kServerCursorHarvested);
   Gauge& cursor_open = reg.GetGauge(metric_names::kServerCursorOpen);
   Histogram& cursor_page_entries =
@@ -92,8 +84,7 @@ std::string HacService::Absolutize(const Session& session, const std::string& pa
 Session* HacService::OpenSession() {
   std::lock_guard<std::mutex> lk(sessions_mu_);
   sessions_.emplace_back(std::unique_ptr<Session>(new Session(next_session_id_++)));
-  ++sessions_opened_;
-  GM().sessions_opened.Inc();
+  sessions_opened_.Inc();
   GM().open_sessions.Add(1);
   return sessions_.back().get();
 }
@@ -106,8 +97,7 @@ void HacService::EraseSession(Session* session) {
     return;
   }
   sessions_.erase(it);
-  ++sessions_closed_;
-  GM().sessions_closed.Inc();
+  sessions_closed_.Inc();
   GM().open_sessions.Add(-1);
 }
 
@@ -115,38 +105,18 @@ Result<void> HacService::CloseSession(Session* session) {
   if (session == nullptr) {
     return Error(ErrorCode::kInvalidArgument, "null session");
   }
-  ServerRequest req;
-  req.op = ServerOp::kCloseSession;
-  ServerResponse resp = Call(session, std::move(req));
-  if (!resp.ok() && resp.error.code == ErrorCode::kOverloaded) {
-    // The writer has already stopped; reclaim the descriptors inline under the
-    // exclusive lock instead of losing them.
-    std::unique_lock<std::shared_mutex> lk(fs_lock_);
-    CloseSessionDescriptors(session);
-    resp.error = Error();
-  }
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    auto it = std::find_if(sessions_.begin(), sessions_.end(),
-                           [&](const auto& s) { return s.get() == session; });
-    if (it == sessions_.end()) {
-      return Error(ErrorCode::kInvalidArgument, "unknown session");
-    }
-    sessions_.erase(it);
-    ++sessions_closed_;
-    GM().sessions_closed.Inc();
-    GM().open_sessions.Add(-1);
-  }
-  if (!resp.ok()) {
-    return resp.error;
-  }
-  return OkResult();
+  auto closed = std::make_shared<std::promise<Result<void>>>();
+  std::future<Result<void>> fut = closed->get_future();
+  CloseSessionAsync(session,
+                    [closed](Result<void> status) { closed->set_value(std::move(status)); });
+  return fut.get();
 }
 
-void HacService::CloseSessionAsync(Session* session, std::function<void()> done) {
+void HacService::CloseSessionAsync(Session* session,
+                                   std::function<void(Result<void>)> done) {
   if (session == nullptr) {
     if (done) {
-      done();
+      done(Error(ErrorCode::kInvalidArgument, "null session"));
     }
     return;
   }
@@ -155,23 +125,29 @@ void HacService::CloseSessionAsync(Session* session, std::function<void()> done)
   SubmitCallback(session, std::move(req),
                  [this, session, done = std::move(done)](ServerResponse resp) {
                    if (!resp.ok() && resp.error.code == ErrorCode::kOverloaded) {
-                     // Writer already stopped: reclaim descriptors inline, same
-                     // fallback as the synchronous CloseSession. This runs on the
-                     // caller's thread (the submission was rejected inline), and
-                     // with the writer gone the exclusive lock is uncontended.
+                     // Writer already stopped: reclaim descriptors inline. This runs
+                     // on the caller's thread (the submission was rejected inline),
+                     // and with the writer gone the exclusive lock is uncontended.
                      std::unique_lock<std::shared_mutex> lk(fs_lock_);
                      CloseSessionDescriptors(session);
+                     resp.error = Error();
                    }
                    EraseSession(session);
                    if (done) {
-                     done();
+                     done(resp.ok() ? OkResult() : Result<void>(resp.error));
                    }
                  });
 }
 
-void HacService::Dispatch(std::shared_ptr<Pending> p) {
+void HacService::SubmitCallback(Session* session, ServerRequest req,
+                                ResponseCallback done) {
+  auto p = std::make_shared<Pending>();
+  p->req = std::move(req);
+  p->session = session;
+  p->done = std::move(done);
+  p->enqueued = std::chrono::steady_clock::now();
   if (p->session == nullptr) {
-    p->Fulfil(ErrorResponse(Error(ErrorCode::kInvalidArgument, "null session")));
+    p->done(ErrorResponse(Error(ErrorCode::kInvalidArgument, "null session")));
     return;
   }
   if (p->req.op == ServerOp::kIntrospect) {
@@ -183,11 +159,11 @@ void HacService::Dispatch(std::shared_ptr<Pending> p) {
     ServerResponse resp;
     resp.text = p->req.aux == "trace" ? TraceRing::Global().ExportChromeJson()
                                       : IntrospectStatsJson();
-    p->Fulfil(std::move(resp));
+    p->done(std::move(resp));
     return;
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    p->Fulfil(Overloaded("service is stopping"));
+    p->done(Overloaded("service is stopping"));
     return;
   }
 
@@ -196,52 +172,37 @@ void HacService::Dispatch(std::shared_ptr<Pending> p) {
     size_t queued = queued_reads_.load(std::memory_order_relaxed);
     do {
       if (queued >= options_.max_read_queue) {
-        ++rejected_queue_full_;
-        GM().rejected_queue_full.Inc();
-        p->Fulfil(Overloaded("read queue full"));
+        rejected_queue_full_.Inc();
+        p->done(Overloaded("read queue full"));
         return;
       }
     } while (!queued_reads_.compare_exchange_weak(queued, queued + 1,
                                                   std::memory_order_relaxed));
-    ++admitted_reads_;
-    GM().admitted_reads.Inc();
+    admitted_reads_.Inc();
     GM().read_queue_depth.Set(static_cast<int64_t>(queued + 1));
     if (!readers_.Submit([this, p] { RunRead(p); })) {
       queued_reads_.fetch_sub(1, std::memory_order_relaxed);
-      p->Fulfil(Overloaded("reader pool stopped"));
+      p->done(Overloaded("reader pool stopped"));
     }
     return;
   }
 
   if (!write_queue_.TryPush(p)) {
-    ++rejected_queue_full_;
-    GM().rejected_queue_full.Inc();
-    p->Fulfil(Overloaded(write_queue_.closed() ? "service is stopping"
-                                               : "write queue full"));
+    rejected_queue_full_.Inc();
+    p->done(Overloaded(write_queue_.closed() ? "service is stopping"
+                                             : "write queue full"));
     return;
   }
-  ++admitted_writes_;
-  GM().admitted_writes.Inc();
+  admitted_writes_.Inc();
 }
 
 std::future<ServerResponse> HacService::Submit(Session* session, ServerRequest req) {
-  auto p = std::make_shared<Pending>();
-  p->req = std::move(req);
-  p->session = session;
-  p->enqueued = std::chrono::steady_clock::now();
-  std::future<ServerResponse> fut = p->done.get_future();
-  Dispatch(std::move(p));
+  // std::function needs a copyable callable, hence the shared promise.
+  auto done = std::make_shared<std::promise<ServerResponse>>();
+  std::future<ServerResponse> fut = done->get_future();
+  SubmitCallback(session, std::move(req),
+                 [done](ServerResponse resp) { done->set_value(std::move(resp)); });
   return fut;
-}
-
-void HacService::SubmitCallback(Session* session, ServerRequest req,
-                                ResponseCallback done) {
-  auto p = std::make_shared<Pending>();
-  p->req = std::move(req);
-  p->session = session;
-  p->callback = std::move(done);
-  p->enqueued = std::chrono::steady_clock::now();
-  Dispatch(std::move(p));
 }
 
 ServerResponse HacService::Call(Session* session, ServerRequest req) {
@@ -255,9 +216,8 @@ bool HacService::ShedIfExpired(Pending& p, std::chrono::milliseconds timeout) {
   if (std::chrono::steady_clock::now() - p.enqueued <= timeout) {
     return false;
   }
-  ++shed_deadline_;
-  GM().shed_deadline.Inc();
-  p.Fulfil(Overloaded("request exceeded its queue deadline"));
+  shed_deadline_.Inc();
+  p.done(Overloaded("request exceeded its queue deadline"));
   return true;
 }
 
@@ -275,24 +235,19 @@ void HacService::RunRead(std::shared_ptr<Pending> p) {
   if (ShedIfExpired(*p, options_.read_queue_timeout)) {
     return;
   }
-  if (kMetricsCompiledIn) {
-    GM().queue_wait_read_us.Record(WaitedUs(p->enqueued));
-  }
+  GM().queue_wait_read_us.Record(WaitedUs(p->enqueued));
   TraceSpan span(metric_names::kSpanServiceRead);
   span.Arg("op", static_cast<uint64_t>(p->req.op));
-  const uint64_t t0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+  const uint64_t t0 = TraceRing::NowUs();
   ReaderLockShared();
   if (options_.read_hook) {
     options_.read_hook();
   }
   ServerResponse resp = ExecuteRead(p->session, p->req);
   fs_lock_.unlock_shared();
-  if (kMetricsCompiledIn) {
-    GM().service_time_read_us.Record(TraceRing::NowUs() - t0);
-  }
-  ++executed_reads_;
-  GM().executed_reads.Inc();
-  p->Fulfil(std::move(resp));
+  GM().service_time_read_us.Record(TraceRing::NowUs() - t0);
+  executed_reads_.Inc();
+  p->done(std::move(resp));
 }
 
 void HacService::WriterLoop() {
@@ -329,12 +284,10 @@ void HacService::WriterLoop() {
       continue;
     }
 
-    if (kMetricsCompiledIn) {
-      for (const auto& p : live) {
-        GM().queue_wait_write_us.Record(WaitedUs(p->enqueued));
-      }
-      GM().write_batch_size.Record(live.size());
+    for (const auto& p : live) {
+      GM().queue_wait_write_us.Record(WaitedUs(p->enqueued));
     }
+    GM().write_batch_size.Record(live.size());
     TraceSpan span(metric_names::kSpanServiceWriteBatch);
     span.Arg("batch_size", live.size());
 
@@ -349,11 +302,9 @@ void HacService::WriterLoop() {
       {
         BatchScope scope(fs_);
         for (size_t i = 0; i < live.size(); ++i) {
-          const uint64_t w0 = kMetricsCompiledIn ? TraceRing::NowUs() : 0;
+          const uint64_t w0 = TraceRing::NowUs();
           responses[i] = ExecuteWrite(live[i]->session, live[i]->req);
-          if (kMetricsCompiledIn) {
-            GM().service_time_write_us.Record(TraceRing::NowUs() - w0);
-          }
+          GM().service_time_write_us.Record(TraceRing::NowUs() - w0);
         }
         commit = scope.Commit();
       }
@@ -361,7 +312,7 @@ void HacService::WriterLoop() {
         fs_.DiscardJournal();  // no WAL will ever drain these records
       } else if (commit.ok()) {
         // Group commit to the WAL: the whole batch becomes durable with one fsync.
-        // Must succeed before any future below is fulfilled — an acknowledged write
+        // Must succeed before any request below completes — an acknowledged write
         // is on disk (docs/DURABILITY.md).
         commit = options_.durable_store->CommitFrom(fs_);
       }
@@ -400,19 +351,17 @@ void HacService::WriterLoop() {
     }
     gate_cv_.notify_all();
 
-    ++write_batches_;
-    GM().write_batches.Inc();
+    write_batches_.Inc();
     uint64_t largest = largest_write_batch_.load(std::memory_order_relaxed);
     while (live.size() > largest &&
            !largest_write_batch_.compare_exchange_weak(largest, live.size(),
                                                        std::memory_order_relaxed)) {
     }
-    // Group commit: futures complete only after the batch flush, so a client's next
-    // read observes its own settled write.
+    // Group commit: requests complete only after the batch flush, so a client's
+    // next read observes its own settled write.
     for (size_t i = 0; i < live.size(); ++i) {
-      ++executed_writes_;
-      GM().executed_writes.Inc();
-      live[i]->Fulfil(std::move(responses[i]));
+      executed_writes_.Inc();
+      live[i]->done(std::move(responses[i]));
     }
   }
 }
@@ -559,7 +508,6 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
       cur.is_search = !req.aux.empty();
       cur.path = abs;
       cur.query = req.aux;
-      cur.token.epoch = fs_.MutationEpoch();
       cur.last_used = std::chrono::steady_clock::now();
       {
         std::lock_guard<std::mutex> lk(session->cursors_.mu);
@@ -622,11 +570,8 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
         }
       }
       if (!resp.ok()) {
-        // Any fetch failure — stale epoch, deleted directory — auto-closes: the
-        // client restarts with a fresh kOpenCursor (docs/API.md).
-        if (resp.error.code == ErrorCode::kStaleCursor) {
-          GM().cursor_stale.Inc();
-        }
+        // Any fetch failure (a deleted directory, say) auto-closes: the client
+        // restarts with a fresh kOpenCursor (docs/API.md).
         session->cursors_.Close(req.fd);
         GM().cursor_closed.Inc();
         GM().cursor_open.Add(-1);
@@ -871,16 +816,16 @@ void HacService::Stop() {
 
 ServiceStats HacService::Stats() const {
   ServiceStats s;
-  s.admitted_reads = admitted_reads_.load(std::memory_order_relaxed);
-  s.admitted_writes = admitted_writes_.load(std::memory_order_relaxed);
-  s.rejected_queue_full = rejected_queue_full_.load(std::memory_order_relaxed);
-  s.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-  s.executed_reads = executed_reads_.load(std::memory_order_relaxed);
-  s.executed_writes = executed_writes_.load(std::memory_order_relaxed);
-  s.write_batches = write_batches_.load(std::memory_order_relaxed);
+  s.admitted_reads = admitted_reads_.Value();
+  s.admitted_writes = admitted_writes_.Value();
+  s.rejected_queue_full = rejected_queue_full_.Value();
+  s.shed_deadline = shed_deadline_.Value();
+  s.executed_reads = executed_reads_.Value();
+  s.executed_writes = executed_writes_.Value();
+  s.write_batches = write_batches_.Value();
   s.largest_write_batch = largest_write_batch_.load(std::memory_order_relaxed);
-  s.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
-  s.sessions_closed = sessions_closed_.load(std::memory_order_relaxed);
+  s.sessions_opened = sessions_opened_.Value();
+  s.sessions_closed = sessions_closed_.Value();
   return s;
 }
 

@@ -11,7 +11,7 @@
 //   * Write-class requests go through a bounded MPSC queue drained by ONE writer
 //     thread. The writer takes the exclusive side of the lock, wraps each drained
 //     group of pending mutations in a single ConsistencyEngine BatchScope, executes
-//     them back-to-back, and completes their futures only after the batch flush — so
+//     them back-to-back, and completes them only after the batch flush — so
 //     N concurrent writers pay one topological propagation pass, and a client's next
 //     read always sees its own settled write.
 //   * Writer priority: readers pause admission to the lock while the writer is
@@ -40,6 +40,8 @@
 #include "src/core/hac_file_system.h"
 #include "src/server/request.h"
 #include "src/server/session.h"
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 #include "src/support/thread_pool.h"
 
 namespace hac {
@@ -65,7 +67,7 @@ struct ServiceOptions {
   size_t max_cursors_per_session = 64;
   // Optional crash-safety hook (docs/DURABILITY.md). When set, the writer thread
   // group-commits the facade's journal into the store's WAL after every batch flush
-  // and before any future in the batch is fulfilled — an acknowledged write is on
+  // and before any request in the batch completes — an acknowledged write is on
   // disk. The writer also takes a checkpoint whenever the store's policy asks for
   // one (DurabilityOptions thresholds) or a kCheckpoint request arrives, and Stop()
   // seals the store with a final checkpoint. Not owned; must outlive the service.
@@ -97,39 +99,36 @@ class HacService {
   // Sessions are owned by the service. The pointer stays valid until CloseSession
   // (or service destruction). One synchronous client per session.
   Session* OpenSession();
-  // Closes every descriptor the session still holds (through the write path, so it
-  // serializes with in-flight mutations), then destroys the session.
+  // Synchronous CloseSessionAsync: returns once the session is gone.
   Result<void> CloseSession(Session* session);
 
-  // Asynchronous submission; the future is fulfilled by a worker/writer thread.
-  // Admission control may fulfil it immediately with kOverloaded.
-  std::future<ServerResponse> Submit(Session* session, ServerRequest req);
-
-  // Callback-flavored submission for event-driven transports: `done` fires exactly
-  // once with the response, on whichever thread completes the request — a reader
-  // worker, the writer thread, or (for inline completions: admission rejection,
-  // kIntrospect, null session) the caller's own thread. The callback must be cheap
-  // and must not re-enter the service; transports use it to hand the response to
-  // the connection's owning reactor. Requests submitted this way go through the
-  // exact same admission control, shedding, and batching as Submit.
+  // The one submission path: `done` fires exactly once with the response, on
+  // whichever thread completes the request — a reader worker, the writer thread,
+  // or (for inline completions: admission rejection, kIntrospect, null session)
+  // the caller's own thread. The callback must be cheap and must not re-enter the
+  // service; the epoll transport uses it to hand the response to the connection's
+  // owning reactor. Admission control may complete it immediately with kOverloaded.
   using ResponseCallback = std::function<void(ServerResponse)>;
   void SubmitCallback(Session* session, ServerRequest req, ResponseCallback done);
 
-  // Non-blocking analogue of CloseSession for reactor threads: submits the
-  // kCloseSession request through the write path (so it serializes after the
-  // session's in-flight mutations) and erases the session when it completes;
-  // `done` (optional) then fires. If the writer has already stopped, descriptors
-  // are reclaimed inline under the exclusive lock, exactly like CloseSession.
-  // The session pointer is invalid once `done` runs (or immediately after the
-  // call if the service already stopped admission).
-  void CloseSessionAsync(Session* session, std::function<void()> done = nullptr);
+  // SubmitCallback with a future in place of the callback.
+  std::future<ServerResponse> Submit(Session* session, ServerRequest req);
 
   // Synchronous convenience: Submit + wait.
   ServerResponse Call(Session* session, ServerRequest req);
 
+  // Closes every descriptor the session still holds by submitting kCloseSession
+  // through the write path (so it serializes after the session's in-flight
+  // mutations), then erases the session; `done` (optional) then fires with the
+  // close's status. If the writer has already stopped, descriptors are reclaimed
+  // inline under the exclusive lock. The session pointer is invalid once `done`
+  // runs (or immediately after the call if the service already stopped admission).
+  void CloseSessionAsync(Session* session,
+                         std::function<void(Result<void>)> done = nullptr);
+
   // Drops the session's cursors untouched since `cutoff` and updates the cursor
-  // metrics. Called by the transports' idle sweeps (reactor thread / blocking
-  // connection loop) — safe concurrently with fetches, which hold the table mutex.
+  // metrics. Called by the reactors' idle sweeps — safe concurrently with fetches,
+  // which hold the table mutex.
   static size_t HarvestIdleCursors(Session* session,
                                    std::chrono::steady_clock::time_point cutoff);
 
@@ -144,19 +143,8 @@ class HacService {
   struct Pending {
     ServerRequest req;
     Session* session = nullptr;
-    std::promise<ServerResponse> done;
-    // When set, the request was submitted via SubmitCallback: completion invokes
-    // the callback instead of the promise.
-    ResponseCallback callback;
+    ResponseCallback done;  // fires exactly once with the response
     std::chrono::steady_clock::time_point enqueued;
-
-    void Fulfil(ServerResponse resp) {
-      if (callback) {
-        callback(std::move(resp));
-      } else {
-        done.set_value(std::move(resp));
-      }
-    }
   };
 
   static ServerResponse Overloaded(const std::string& why);
@@ -164,16 +152,13 @@ class HacService {
   // Resolves a request path against the session cwd ("" -> cwd itself).
   static std::string Absolutize(const Session& session, const std::string& path);
 
-  // Shared by Submit and SubmitCallback: admission control + dispatch. Fulfils
-  // `p` inline on rejection/introspection, otherwise hands it to a worker.
-  void Dispatch(std::shared_ptr<Pending> p);
   // Removes `session` from the session table (it must already have executed its
   // kCloseSession, or the caller holds the exclusive lock after inline cleanup).
   void EraseSession(Session* session);
 
   void RunRead(std::shared_ptr<Pending> p);
   void WriterLoop();
-  // True if `p` outlived its class deadline; fulfils the promise when so.
+  // True if `p` outlived its class deadline; completes it with kOverloaded if so.
   bool ShedIfExpired(Pending& p, std::chrono::milliseconds timeout);
 
   ServerResponse ExecuteRead(Session* session, const ServerRequest& req);
@@ -186,6 +171,19 @@ class HacService {
 
   HacFileSystem& fs_;
   const ServiceOptions options_;
+
+  // The events Stats() reports, exported as hac.service.* (support/metrics.h).
+  // Declared before the worker threads that record on them.
+  Counter admitted_reads_{metric_names::kServiceAdmittedReads};
+  Counter admitted_writes_{metric_names::kServiceAdmittedWrites};
+  Counter rejected_queue_full_{metric_names::kServiceRejectedQueueFull};
+  Counter shed_deadline_{metric_names::kServiceShedDeadline};
+  Counter executed_reads_{metric_names::kServiceExecutedReads};
+  Counter executed_writes_{metric_names::kServiceExecutedWrites};
+  Counter write_batches_{metric_names::kServiceWriteBatches};
+  Counter sessions_opened_{metric_names::kServiceSessionsOpened};
+  Counter sessions_closed_{metric_names::kServiceSessionsClosed};
+  std::atomic<uint64_t> largest_write_batch_ = 0;
 
   std::shared_mutex fs_lock_;
   std::mutex gate_mu_;
@@ -202,13 +200,6 @@ class HacService {
   std::mutex sessions_mu_;
   std::vector<std::unique_ptr<Session>> sessions_;
   uint64_t next_session_id_ = 1;
-
-  // ServiceStats counters (atomic mirror; Stats() snapshots them).
-  std::atomic<uint64_t> admitted_reads_ = 0, admitted_writes_ = 0,
-                        rejected_queue_full_ = 0, shed_deadline_ = 0,
-                        executed_reads_ = 0, executed_writes_ = 0, write_batches_ = 0,
-                        largest_write_batch_ = 0, sessions_opened_ = 0,
-                        sessions_closed_ = 0;
 };
 
 }  // namespace hac

@@ -8,8 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "src/server/wire.h"
@@ -20,20 +18,10 @@ namespace hac {
 
 namespace {
 
-struct TransportMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& bytes_in = reg.GetCounter(metric_names::kServerBytesIn);
-  Counter& bytes_out = reg.GetCounter(metric_names::kServerBytesOut);
-  Counter& connections_opened = reg.GetCounter(metric_names::kServerConnectionsOpened);
-  Counter& connections_closed = reg.GetCounter(metric_names::kServerConnectionsClosed);
-  Counter& wire_errors = reg.GetCounter(metric_names::kServerWireErrors);
-  Counter& idle_closes = reg.GetCounter(metric_names::kServerIdleCloses);
-  Gauge& open_connections = reg.GetGauge(metric_names::kServerOpenConnections);
-};
-
-TransportMetrics& TM() {
-  static TransportMetrics* m = new TransportMetrics();
-  return *m;
+Gauge& OpenConnectionsGauge() {
+  static Gauge& g =
+      MetricsRegistry::Global().GetGauge(metric_names::kServerOpenConnections);
+  return g;
 }
 
 ServerResponse MakeErrorResponse(ErrorCode code, std::string msg) {
@@ -53,14 +41,7 @@ size_t DefaultReactorThreads() {
 }  // namespace
 
 TcpServer::TcpServer(HacService& service, TcpServerOptions options)
-    : service_(service), options_(std::move(options)) {
-  // max_connections 0 = model default. Thread-per-connection pays a full stack
-  // per connection, so its ceiling stays conservative; a reactor connection is
-  // an fd plus buffers, so the epoll default is the C10K-ish 4096.
-  max_connections_ = options_.max_connections != 0 ? options_.max_connections
-                     : options_.io_model == IoModel::kEpoll ? 4096
-                                                            : 256;
-}
+    : service_(service), options_(std::move(options)) {}
 
 TcpServer::~TcpServer() { Stop(); }
 
@@ -98,34 +79,25 @@ Result<void> TcpServer::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
 
-  if (options_.io_model == IoModel::kEpoll) {
-    size_t n = options_.reactor_threads != 0 ? options_.reactor_threads
-                                             : DefaultReactorThreads();
-    for (size_t i = 0; i < n; ++i) {
-      ReactorShared shared;
-      shared.service = &service_;
-      shared.frames_in = &frames_in_;
-      shared.frames_out = &frames_out_;
-      shared.wire_errors = &wire_errors_;
-      shared.bytes_in = &bytes_in_;
-      shared.bytes_out = &bytes_out_;
-      shared.connections_closed = &connections_closed_;
-      shared.idle_closes = &idle_closes_;
-      shared.backpressure_stalls = &backpressure_stalls_;
-      shared.active_connections = &active_connections_;
-      shared.write_high_water = options_.write_high_water;
-      shared.write_low_water = options_.write_low_water;
-      shared.idle_timeout_ms = options_.idle_timeout_ms;
-      auto reactor = std::make_unique<EpollReactor>(shared);
-      auto started = reactor->Start();
-      if (!started.ok()) {
-        reactors_.clear();
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return started.error();
-      }
-      reactors_.push_back(std::move(reactor));
+  size_t n = options_.reactor_threads != 0 ? options_.reactor_threads
+                                           : DefaultReactorThreads();
+  for (size_t i = 0; i < n; ++i) {
+    ReactorShared shared;
+    shared.service = &service_;
+    shared.counters = &counters_;
+    shared.active_connections = &active_connections_;
+    shared.write_high_water = options_.write_high_water;
+    shared.write_low_water = options_.write_low_water;
+    shared.idle_timeout_ms = options_.idle_timeout_ms;
+    auto reactor = std::make_unique<EpollReactor>(shared);
+    auto started = reactor->Start();
+    if (!started.ok()) {
+      reactors_.clear();
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      return started.error();
     }
+    reactors_.push_back(std::move(reactor));
   }
 
   started_ = true;
@@ -150,159 +122,38 @@ void TcpServer::AcceptLoop() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     if (stopping_.load(std::memory_order_acquire) ||
-        active_connections_.load(std::memory_order_acquire) >= max_connections_) {
-      ++connections_rejected_;
+        active_connections_.load(std::memory_order_acquire) >= options_.max_connections) {
+      counters_.connections_rejected.Inc();
       SendFrame(fd, EncodeResponseFrame(MakeErrorResponse(
                         ErrorCode::kOverloaded, "connection limit reached")));
       ::close(fd);
       continue;
     }
 
-    ++connections_opened_;
+    counters_.connections_opened.Inc();
     active_connections_.fetch_add(1, std::memory_order_acq_rel);
-    TM().connections_opened.Inc();
-    TM().open_connections.Add(1);
-
-    if (options_.io_model == IoModel::kEpoll) {
-      // Shard round-robin: a connection lives on one reactor for its whole life,
-      // so all its state is single-threaded there.
-      reactors_[next_reactor_]->Adopt(fd);
-      next_reactor_ = (next_reactor_ + 1) % reactors_.size();
-      continue;
-    }
-
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    ReapFinished();
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    Conn* raw = conn.get();
-    conn->thread = std::thread([this, raw] { ServeConnection(raw); });
-    conns_.push_back(std::move(conn));
+    OpenConnectionsGauge().Add(1);
+    // Shard round-robin: a connection lives on one reactor for its whole life, so
+    // all its state is single-threaded there.
+    reactors_[next_reactor_]->Adopt(fd);
+    next_reactor_ = (next_reactor_ + 1) % reactors_.size();
   }
-}
-
-void TcpServer::ServeConnection(Conn* conn) {
-  Session* session = service_.OpenSession();
-  FrameDecoder decoder;
-  uint8_t buf[64 * 1024];
-  bool fatal = false;
-  auto last_frame = std::chrono::steady_clock::now();
-  const auto idle_limit = std::chrono::milliseconds(options_.idle_timeout_ms);
-
-  while (!fatal && !stopping_.load(std::memory_order_acquire)) {
-    if (options_.idle_timeout_ms > 0) {
-      // Wait in poll() instead of recv() so a quiet connection can be harvested:
-      // blocking recv would hold the thread hostage until the peer speaks.
-      pollfd pfd{conn->fd, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, 50);
-      if (ready < 0) {
-        break;
-      }
-      if (ready == 0) {
-        auto now = std::chrono::steady_clock::now();
-        // Same sweep the reactor runs: cursors this session stopped fetching
-        // from age out on the idle clock even while the connection stays open.
-        HacService::HarvestIdleCursors(session, now - idle_limit);
-        if (now - last_frame >= idle_limit) {
-          ++idle_closes_;
-          TM().idle_closes.Inc();
-          break;
-        }
-        continue;
-      }
-    }
-    ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      break;  // peer closed (0) or socket error/shutdown (<0)
-    }
-    bytes_in_ += static_cast<uint64_t>(n);
-    TM().bytes_in.Inc(static_cast<uint64_t>(n));
-    decoder.Feed(buf, static_cast<size_t>(n));
-
-    for (;;) {
-      auto next = decoder.Next();
-      if (!next.ok()) {
-        // Framing is unrecoverable: answer with the decode error, then hang up.
-        ++wire_errors_;
-        TM().wire_errors.Inc();
-        SendFrame(conn->fd, EncodeResponseFrame(MakeErrorResponse(
-                                next.error().code, next.error().message)));
-        fatal = true;
-        break;
-      }
-      if (!next.value().has_value()) {
-        break;  // need more bytes
-      }
-      FrameDecoder::Frame frame = std::move(*next.value());
-      ++frames_in_;
-      last_frame = std::chrono::steady_clock::now();
-      if (frame.kind != FrameKind::kRequest) {
-        ++wire_errors_;
-        TM().wire_errors.Inc();
-        SendFrame(conn->fd, EncodeResponseFrame(MakeErrorResponse(
-                                ErrorCode::kCorrupt, "response frame sent to server")));
-        fatal = true;
-        break;
-      }
-      auto req = DecodeRequestPayload(frame.payload);
-      RecycleBuffer(std::move(frame.payload));
-      ServerResponse resp;
-      if (!req.ok()) {
-        ++wire_errors_;
-        TM().wire_errors.Inc();
-        resp = MakeErrorResponse(req.error().code, req.error().message);
-        fatal = true;  // a payload that lies about its op/fields poisons the stream
-      } else if (req.value().op == ServerOp::kCloseSession) {
-        resp = MakeErrorResponse(ErrorCode::kInvalidArgument,
-                                 "session lifecycle is connection-bound");
-      } else {
-        resp = service_.Call(session, std::move(req).value());
-      }
-      if (!SendFrame(conn->fd, EncodeResponseFrame(resp))) {
-        fatal = true;
-        break;
-      }
-    }
-  }
-
-  (void)service_.CloseSession(session);
-  ::close(conn->fd);
-  ++connections_closed_;
-  active_connections_.fetch_sub(1, std::memory_order_acq_rel);
-  TM().connections_closed.Inc();
-  TM().open_connections.Add(-1);
-  conn->done.store(true, std::memory_order_release);
 }
 
 bool TcpServer::SendFrame(int fd, const std::vector<uint8_t>& frame) {
   size_t sent = 0;
   while (sent < frame.size()) {
-    // MSG_NOSIGNAL everywhere a frame hits a socket: a peer that vanished must
-    // surface as EPIPE on this call, not SIGPIPE for the whole process. (The
-    // reactor path's sendmsg carries the same flag.)
+    // MSG_NOSIGNAL: a peer that vanished must surface as EPIPE on this call, not
+    // SIGPIPE for the whole process. (The reactors' sendmsg carries the same flag.)
     ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       return false;
     }
     sent += static_cast<size_t>(n);
   }
-  ++frames_out_;
-  bytes_out_ += frame.size();
-  TM().bytes_out.Inc(frame.size());
+  counters_.frames_out.Inc();
+  counters_.bytes_out.Inc(frame.size());
   return true;
-}
-
-void TcpServer::ReapFinished() {
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) {
-        (*it)->thread.join();
-      }
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void TcpServer::Stop() {
@@ -326,17 +177,6 @@ void TcpServer::Stop() {
       r->Join();
     }
     reactors_.clear();
-    std::lock_guard<std::mutex> lk(conns_mu_);
-    for (auto& c : conns_) {
-      // Wake the reader thread out of recv(); it closes the fd itself on exit.
-      ::shutdown(c->fd, SHUT_RDWR);
-    }
-    for (auto& c : conns_) {
-      if (c->thread.joinable()) {
-        c->thread.join();
-      }
-    }
-    conns_.clear();
   });
 }
 
@@ -346,16 +186,16 @@ size_t TcpServer::ActiveConnections() const {
 
 TcpServerStats TcpServer::Stats() const {
   TcpServerStats s;
-  s.connections_opened = connections_opened_.load(std::memory_order_relaxed);
-  s.connections_closed = connections_closed_.load(std::memory_order_relaxed);
-  s.connections_rejected = connections_rejected_.load(std::memory_order_relaxed);
-  s.frames_in = frames_in_.load(std::memory_order_relaxed);
-  s.frames_out = frames_out_.load(std::memory_order_relaxed);
-  s.wire_errors = wire_errors_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  s.idle_closes = idle_closes_.load(std::memory_order_relaxed);
-  s.backpressure_stalls = backpressure_stalls_.load(std::memory_order_relaxed);
+  s.connections_opened = counters_.connections_opened.Value();
+  s.connections_closed = counters_.connections_closed.Value();
+  s.connections_rejected = counters_.connections_rejected.Value();
+  s.frames_in = counters_.frames_in.Value();
+  s.frames_out = counters_.frames_out.Value();
+  s.wire_errors = counters_.wire_errors.Value();
+  s.bytes_in = counters_.bytes_in.Value();
+  s.bytes_out = counters_.bytes_out.Value();
+  s.idle_closes = counters_.idle_closes.Value();
+  s.backpressure_stalls = counters_.backpressure_stalls.Value();
   return s;
 }
 

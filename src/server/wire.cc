@@ -251,7 +251,7 @@ Result<void> ExpectEnd(const ByteReader& in) {
 template <typename T>
 Result<T> DecodeFrame(const std::vector<uint8_t>& frame, FrameKind expect,
                       Result<T> (*decode)(ByteReader&)) {
-  const uint64_t t0 = kMetricsCompiledIn ? NowNs() : 0;
+  const uint64_t t0 = NowNs();
   ByteReader in(frame);
   FrameKind kind;
   HAC_ASSIGN_OR_RETURN(uint32_t len, ReadHeader(in, &kind));
@@ -264,9 +264,7 @@ Result<T> DecodeFrame(const std::vector<uint8_t>& frame, FrameKind expect,
   Result<T> decoded = decode(in);
   if (decoded.ok()) {
     HAC_RETURN_IF_ERROR(ExpectEnd(in));
-    if (kMetricsCompiledIn) {
-      WM().decode_ns.Record(NowNs() - t0);
-    }
+    WM().decode_ns.Record(NowNs() - t0);
   }
   return decoded;
 }
@@ -352,16 +350,14 @@ namespace {
 template <typename T>
 std::vector<uint8_t> EncodeFrame(const T& msg, FrameKind kind,
                                  void (*encode)(const T&, ByteWriter&)) {
-  const uint64_t t0 = kMetricsCompiledIn ? NowNs() : 0;
+  const uint64_t t0 = NowNs();
   // One pooled buffer for header + payload: the length field is a placeholder
   // until the payload is in place, then patched — no second buffer, no copy.
   ByteWriter frame(BufferPool::Global().Acquire());
   PutHeader(frame, kind, 0);
   encode(msg, frame);
   frame.PatchU32(6, static_cast<uint32_t>(frame.size() - kWireHeaderSize));
-  if (kMetricsCompiledIn) {
-    WM().encode_ns.Record(NowNs() - t0);
-  }
+  WM().encode_ns.Record(NowNs() - t0);
   return frame.TakeBuffer();
 }
 
@@ -418,14 +414,12 @@ namespace {
 template <typename T>
 Result<T> DecodePayload(const std::vector<uint8_t>& payload,
                         Result<T> (*decode)(ByteReader&)) {
-  const uint64_t t0 = kMetricsCompiledIn ? NowNs() : 0;
+  const uint64_t t0 = NowNs();
   ByteReader in(payload);
   Result<T> decoded = decode(in);
   if (decoded.ok()) {
     HAC_RETURN_IF_ERROR(ExpectEnd(in));
-    if (kMetricsCompiledIn) {
-      WM().decode_ns.Record(NowNs() - t0);
-    }
+    WM().decode_ns.Record(NowNs() - t0);
   }
   return decoded;
 }

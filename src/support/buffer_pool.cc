@@ -2,25 +2,7 @@
 
 #include <utility>
 
-#include "src/support/metric_names.h"
-#include "src/support/metrics.h"
-
 namespace hac {
-
-namespace {
-
-struct PoolMetrics {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Counter& hits = reg.GetCounter(metric_names::kServerBufferPoolHits);
-  Counter& misses = reg.GetCounter(metric_names::kServerBufferPoolMisses);
-};
-
-PoolMetrics& PM() {
-  static PoolMetrics* m = new PoolMetrics();
-  return *m;
-}
-
-}  // namespace
 
 BufferPool& BufferPool::Global() {
   static BufferPool* pool = new BufferPool();
@@ -33,13 +15,11 @@ std::vector<uint8_t> BufferPool::Acquire() {
     if (!free_.empty()) {
       std::vector<uint8_t> buf = std::move(free_.back());
       free_.pop_back();
-      ++hits_;
-      PM().hits.Inc();
+      hits_.Inc();
       return buf;
     }
-    ++misses_;
   }
-  PM().misses.Inc();
+  misses_.Inc();
   return {};
 }
 
@@ -55,8 +35,7 @@ void BufferPool::Release(std::vector<uint8_t>&& buf) {
 }
 
 BufferPool::PoolStats BufferPool::Stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return {hits_, misses_};
+  return {hits_.Value(), misses_.Value()};
 }
 
 }  // namespace hac

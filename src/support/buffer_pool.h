@@ -24,6 +24,9 @@
 #include <mutex>
 #include <vector>
 
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
+
 namespace hac {
 
 class BufferPool {
@@ -52,10 +55,10 @@ class BufferPool {
   PoolStats Stats() const;
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<std::vector<uint8_t>> free_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
+  Counter hits_{metric_names::kServerBufferPoolHits};
+  Counter misses_{metric_names::kServerBufferPoolMisses};
 };
 
 }  // namespace hac

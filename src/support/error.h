@@ -35,7 +35,7 @@ enum class ErrorCode : int {
   kOutOfRange = 18,       // seek/read beyond representable range
   kOverloaded = 19,       // service admission control rejected or timed out the request
   kStaleExport = 20,      // remote export root no longer exists (or moved out of scope)
-  kStaleCursor = 21,      // page token/cursor epoch superseded by a mutation; restart
+  kStaleCursor = 21,      // reserved: cursors resume by position and never go stale
 };
 
 // The highest assigned code. The wire codec rejects values above this bound, and

@@ -66,7 +66,7 @@ inline constexpr const char* kServerBytesOut = "hac.server.bytes_out";
 inline constexpr const char* kServerConnectionsOpened = "hac.server.connections_opened";
 inline constexpr const char* kServerConnectionsClosed = "hac.server.connections_closed";
 inline constexpr const char* kServerWireErrors = "hac.server.wire_errors";
-// Event-driven transport (ServerOptions::io_model = kEpoll, src/server/epoll_reactor.cc).
+// Epoll transport (src/server/epoll_reactor.cc).
 inline constexpr const char* kServerEpollWakeups = "hac.server.epoll_wakeups";
 inline constexpr const char* kServerBackpressureStalls =
     "hac.server.backpressure_stalls";
@@ -76,8 +76,10 @@ inline constexpr const char* kServerBufferPoolHits = "hac.server.buffer_pool_hit
 inline constexpr const char* kServerBufferPoolMisses =
     "hac.server.buffer_pool_misses";
 // Server-side cursors (kOpenCursor/kFetchPage/kCloseCursor, src/server/hac_service.cc).
-// cursor_closed counts explicit closes plus exhaustion/staleness auto-closes;
+// cursor_closed counts explicit closes plus fetch-error auto-closes;
 // cursor_harvested counts idle-sweep reclamation (also folded into cursor_closed).
+// cursor_stale always reads 0 (cursors resume by position); it stays registered
+// for readers that compute a stale ratio.
 inline constexpr const char* kServerCursorOpened = "hac.server.cursor_opened";
 inline constexpr const char* kServerCursorClosed = "hac.server.cursor_closed";
 inline constexpr const char* kServerCursorStale = "hac.server.cursor_stale";

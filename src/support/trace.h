@@ -14,9 +14,8 @@
 // counter rather than blocking. This keeps recording lock-free, race-free (no seqlock
 // torn reads), and bounded.
 //
-// Tracing is compiled out together with metrics (-DHAC_METRICS=OFF) and can be
-// toggled at runtime with TraceRing::Global().SetEnabled(); a disabled span does not
-// even read the clock.
+// Tracing can be toggled at runtime with TraceRing::Global().SetEnabled(); a disabled
+// span does not even read the clock.
 #ifndef HAC_SUPPORT_TRACE_H_
 #define HAC_SUPPORT_TRACE_H_
 
@@ -26,8 +25,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "src/support/metrics.h"
 
 namespace hac {
 
@@ -48,9 +45,7 @@ class TraceRing {
   static TraceRing& Global();
 
   void SetEnabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const {
-    return HAC_METRICS_ENABLED != 0 && enabled_.load(std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void Record(const TraceEvent& ev);
 
@@ -91,27 +86,20 @@ class TraceRing {
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* category = "hac") {
-#if HAC_METRICS_ENABLED
     if (TraceRing::Global().enabled()) {
       active_ = true;
       ev_.name = name;
       ev_.category = category;
       ev_.start_us = TraceRing::NowUs();
     }
-#else
-    (void)name;
-    (void)category;
-#endif
   }
 
   ~TraceSpan() {
-#if HAC_METRICS_ENABLED
     if (active_) {
       ev_.dur_us = TraceRing::NowUs() - ev_.start_us;
       ev_.tid = TraceRing::CurrentTid();
       TraceRing::Global().Record(ev_);
     }
-#endif
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -120,14 +108,9 @@ class TraceSpan {
   // Attaches a key/value pair (up to 4; extras are ignored). `key` must be a string
   // literal.
   void Arg(const char* key, uint64_t value) {
-#if HAC_METRICS_ENABLED
     if (active_ && ev_.nargs < ev_.args.size()) {
       ev_.args[ev_.nargs++] = {key, value};
     }
-#else
-    (void)key;
-    (void)value;
-#endif
   }
 
   bool active() const { return active_; }

@@ -4,7 +4,7 @@
 // checkpoint on SIGINT/SIGTERM.
 //
 //   hacd --data-dir DIR [--port N] [--bind ADDR] [--checkpoint-records N]
-//        [--io-model epoll|blocking] [--backlog N] [--idle-timeout-ms N]
+//        [--backlog N] [--idle-timeout-ms N]
 //
 // Ephemeral mode (no --data-dir) serves an in-memory file system — the pre-durability
 // behavior — for demos and tests that do not care about persistence. The bound port is
@@ -35,8 +35,7 @@ void HandleStop(int) { g_stop = 1; }
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--data-dir DIR] [--port N] [--bind ADDR] "
-               "[--checkpoint-records N] [--io-model epoll|blocking] "
-               "[--backlog N] [--idle-timeout-ms N]\n",
+               "[--checkpoint-records N] [--backlog N] [--idle-timeout-ms N]\n",
                argv0);
   return 2;
 }
@@ -48,7 +47,6 @@ int main(int argc, char** argv) {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;
   uint64_t checkpoint_records = 0;  // 0 = DurabilityOptions default
-  hac::IoModel io_model = hac::IoModel::kEpoll;
   int backlog = 0;               // 0 = TcpServerOptions default
   uint32_t idle_timeout_ms = 0;  // 0 = never harvest idle connections
 
@@ -63,15 +61,6 @@ int main(int argc, char** argv) {
       bind_address = argv[++i];
     } else if (arg == "--checkpoint-records" && has_value) {
       checkpoint_records = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--io-model" && has_value) {
-      const std::string model = argv[++i];
-      if (model == "epoll") {
-        io_model = hac::IoModel::kEpoll;
-      } else if (model == "blocking") {
-        io_model = hac::IoModel::kThreadPerConnection;
-      } else {
-        return Usage(argv[0]);
-      }
     } else if (arg == "--backlog" && has_value) {
       backlog = std::atoi(argv[++i]);
     } else if (arg == "--idle-timeout-ms" && has_value) {
@@ -127,7 +116,6 @@ int main(int argc, char** argv) {
   hac::TcpServerOptions topts;
   topts.bind_address = bind_address;
   topts.port = port;
-  topts.io_model = io_model;
   if (backlog > 0) {
     topts.backlog = backlog;
   }

@@ -18,7 +18,7 @@ TEST(MetadataJournalTest, AppendAndDecode) {
   EXPECT_EQ(records.value()[0].a, "/a");
   EXPECT_EQ(records.value()[1].b, "/b");
   EXPECT_EQ(records.value()[2].a, "fingerprint AND ridge");
-  EXPECT_EQ(journal.RecordCount(), 3u);
+  EXPECT_EQ(journal.PendingRecords(), 3u);
 }
 
 TEST(MetadataJournalTest, EmptyDecode) {
@@ -35,21 +35,8 @@ TEST(MetadataJournalTest, ClearResets) {
   ASSERT_GT(journal.SizeBytes(), 0u);
   journal.Clear();
   EXPECT_EQ(journal.SizeBytes(), 0u);
-  EXPECT_EQ(journal.RecordCount(), 0u);
-  EXPECT_TRUE(journal.Decode().value().empty());
-}
-
-TEST(MetadataJournalTest, DiscardDropsRecordsButKeepsTheCount) {
-  MetadataJournal journal;
-  journal.Append(JournalOp::kFileWritten, 0, "/f", std::string(1024, 'x'));
-  journal.Append(JournalOp::kUnlinked, 0, "/f");
-  journal.Discard();
-  EXPECT_EQ(journal.SizeBytes(), 0u);
   EXPECT_EQ(journal.PendingRecords(), 0u);
-  EXPECT_EQ(journal.RecordCount(), 2u);  // monotone, unlike Clear()
-  journal.Append(JournalOp::kDirCreated, 0, "/d");
-  EXPECT_EQ(journal.RecordCount(), 3u);
-  EXPECT_EQ(journal.Drain().size(), 1u);
+  EXPECT_TRUE(journal.Decode().value().empty());
 }
 
 TEST(MetadataJournalTest, BinarySafePayloads) {
@@ -69,7 +56,7 @@ TEST(MetadataJournalTest, GrowsLinearly) {
     EXPECT_GT(journal.SizeBytes(), prev);
     prev = journal.SizeBytes();
   }
-  EXPECT_EQ(journal.RecordCount(), 100u);
+  EXPECT_EQ(journal.PendingRecords(), 100u);
 }
 
 TEST(MetadataJournalTest, DrainConsumesInOrder) {
@@ -85,8 +72,6 @@ TEST(MetadataJournalTest, DrainConsumesInOrder) {
   EXPECT_EQ(journal.SizeBytes(), 0u);
   EXPECT_EQ(journal.PendingRecords(), 0u);
   EXPECT_TRUE(journal.Drain().empty());
-  // RecordCount stays cumulative across drains (it resets only on Clear).
-  EXPECT_EQ(journal.RecordCount(), 3u);
 }
 
 TEST(MetadataJournalTest, BoundedDrainLeavesTheTail) {

@@ -1,5 +1,5 @@
 // HacFileSystem::ReadDirPage / SearchPage: continuation tokens, byte budgets, and
-// the epoch-based staleness contract behind the service's cursor ops.
+// the resume-by-position contract behind the service's cursor ops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,35 +78,73 @@ TEST_F(PagingTest, ByteBudgetBoundsPagesButAlwaysDeliversOne) {
   EXPECT_EQ(paged, Names(fs_.ReadDir("/docs").value()));
 }
 
-TEST_F(PagingTest, ResumingTokenGoesStaleAfterMutation) {
+TEST_F(PagingTest, ReadDirResumesAfterLastNameAcrossAddsAndRemoves) {
   auto first = fs_.ReadDirPage("/docs", nullptr, 4, 0);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first.value().has_more);
+  std::vector<std::string> drained = Names(first.value().entries);
+  EXPECT_EQ(drained.back(), "fd.txt");
   PageToken token = first.value().next;
 
-  ASSERT_TRUE(fs_.WriteFile("/docs/zz.txt", "late arrival").ok());
+  // Mutations on both sides of the cursor position, including removing the very
+  // entry the token names.
+  ASSERT_TRUE(fs_.WriteFile("/docs/a0.txt", "before the cursor").ok());
+  ASSERT_TRUE(fs_.Unlink("/docs/fb.txt").ok());
+  ASSERT_TRUE(fs_.Unlink("/docs/fd.txt").ok());
+  ASSERT_TRUE(fs_.WriteFile("/docs/zz.txt", "after the cursor").ok());
+  ASSERT_TRUE(fs_.Unlink("/docs/fh.txt").ok());
 
-  auto resumed = fs_.ReadDirPage("/docs", &token, 4, 0);
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_EQ(resumed.error().code, ErrorCode::kStaleCursor);
+  for (;;) {
+    auto page = fs_.ReadDirPage("/docs", &token, 4, 0);
+    ASSERT_TRUE(page.ok()) << page.error().ToString();
+    for (const std::string& name : Names(page.value().entries)) {
+      drained.push_back(name);
+    }
+    if (!page.value().has_more) {
+      break;
+    }
+    token = page.value().next;
+  }
+  // Resumed strictly after "fd.txt": the entry added before the position never
+  // shows, the one added after it does, and the one removed ahead of the cursor
+  // is skipped. Every untouched entry arrives exactly once, in order.
+  const std::vector<std::string> expected = {
+      "fa.txt", "fb.txt", "fc.txt", "fd.txt", "fe.txt", "ff.txt",
+      "fg.txt", "fi.txt", "fj.txt", "fk.txt", "fl.txt", "zz.txt"};
+  EXPECT_EQ(drained, expected);
 }
 
-TEST_F(PagingTest, AtStartTokenRebasesInsteadOfGoingStale) {
-  // A token that never delivered anything has nothing to invalidate: opening a
-  // cursor, mutating, then fetching the FIRST page must succeed.
-  PageToken token;  // at_start, epoch from before the mutation
-  token.epoch = fs_.MutationEpoch();
-  ASSERT_TRUE(fs_.WriteFile("/docs/zz.txt", "late arrival").ok());
+TEST_F(PagingTest, AtStartTokenStartsAtTheFirstEntry) {
+  // A token that has delivered nothing starts from the first entry, whatever was
+  // written after it was made.
+  PageToken token;
+  ASSERT_TRUE(fs_.WriteFile("/docs/a0.txt", "early arrival").ok());
   auto page = fs_.ReadDirPage("/docs", &token, 4, 0);
   ASSERT_TRUE(page.ok());
-  EXPECT_EQ(page.value().entries.size(), 4u);
-  EXPECT_EQ(page.value().next.epoch, fs_.MutationEpoch());
+  ASSERT_EQ(page.value().entries.size(), 4u);
+  EXPECT_EQ(page.value().entries.front().name, "a0.txt");
+  EXPECT_FALSE(page.value().next.at_start);
+  EXPECT_EQ(page.value().next.last_name, "fc.txt");
 }
 
-TEST_F(PagingTest, MutationEpochAdvancesOnWrites) {
-  const uint64_t before = fs_.MutationEpoch();
-  ASSERT_TRUE(fs_.WriteFile("/docs/new.txt", "alpha").ok());
-  EXPECT_GT(fs_.MutationEpoch(), before);
+TEST_F(PagingTest, WritesElsewhereDoNotDisturbADrain) {
+  ASSERT_TRUE(fs_.Mkdir("/elsewhere").ok());
+  std::vector<std::string> paged;
+  PageToken token;
+  for (int i = 0;; ++i) {
+    auto page = fs_.ReadDirPage("/docs", &token, 3, 0);
+    ASSERT_TRUE(page.ok()) << page.error().ToString();
+    for (const std::string& name : Names(page.value().entries)) {
+      paged.push_back(name);
+    }
+    if (!page.value().has_more) {
+      break;
+    }
+    ASSERT_TRUE(fs_.WriteFile("/elsewhere/w" + std::to_string(i), "alpha").ok());
+    ASSERT_TRUE(fs_.Reindex().ok());
+    token = page.value().next;
+  }
+  EXPECT_EQ(paged, Names(fs_.ReadDir("/docs").value()));
 }
 
 TEST_F(PagingTest, PagedSearchEqualsMonolithicSearch) {
@@ -147,18 +185,44 @@ TEST_F(PagingTest, PagedSearchHonorsScope) {
   EXPECT_FALSE(page.value().has_more);
 }
 
-TEST_F(PagingTest, SearchPageTokenGoesStaleAfterReindex) {
+TEST_F(PagingTest, SearchPageResumesAfterLastDocAcrossReindex) {
   auto first = fs_.SearchPage("alpha OR bravo", "/docs", nullptr, 3, 0);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first.value().has_more);
+  std::vector<std::string> drained = first.value().paths;
   PageToken token = first.value().next;
 
+  // Docs before and after the position change membership, then a reindex runs
+  // between pages. DocIds follow creation order, so the file created now sorts
+  // after the cursor and the removed ones are gone before it reaches them.
+  const std::string behind = drained.front();
+  ASSERT_TRUE(fs_.Unlink(behind).ok());
+  ASSERT_TRUE(fs_.Unlink("/docs/fk.txt").ok());
   ASSERT_TRUE(fs_.WriteFile("/docs/new.txt", "alpha too").ok());
   ASSERT_TRUE(fs_.Reindex().ok());
 
-  auto resumed = fs_.SearchPage("alpha OR bravo", "/docs", &token, 3, 0);
-  ASSERT_FALSE(resumed.ok());
-  EXPECT_EQ(resumed.error().code, ErrorCode::kStaleCursor);
+  for (;;) {
+    auto page = fs_.SearchPage("alpha OR bravo", "/docs", &token, 3, 0);
+    ASSERT_TRUE(page.ok()) << page.error().ToString();
+    for (const std::string& p : page.value().paths) {
+      drained.push_back(p);
+    }
+    if (!page.value().has_more) {
+      break;
+    }
+    token = page.value().next;
+  }
+  std::vector<std::string> expected;
+  for (int i = 0; i < 12; ++i) {
+    const std::string name = "/docs/f" + std::string(1, char('a' + i)) + ".txt";
+    if (name != "/docs/fk.txt") {
+      expected.push_back(name);
+    }
+  }
+  expected.push_back("/docs/new.txt");
+  // Delivered in DocId (creation) order, each untouched doc exactly once; the doc
+  // removed behind the cursor was already delivered.
+  EXPECT_EQ(drained, expected);
 }
 
 TEST_F(PagingTest, ErrorsMatchMonolithicReadDir) {

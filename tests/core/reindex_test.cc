@@ -190,7 +190,7 @@ TEST(JournalTest, RecordsBookkeepingActions) {
   EXPECT_TRUE(saw_query);
   EXPECT_TRUE(saw_link_removed);
   EXPECT_GT(fs.journal().SizeBytes(), 0u);
-  EXPECT_EQ(fs.journal().RecordCount(), records.value().size());
+  EXPECT_EQ(fs.journal().PendingRecords(), records.value().size());
 }
 
 TEST(SpaceAccountingTest, MetadataGrowsWithDirectoriesAndQueries) {

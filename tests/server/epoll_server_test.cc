@@ -1,8 +1,7 @@
-// Epoll transport tests (TcpServerOptions::io_model = kEpoll): request pipelining
-// with in-order responses, slow-reader backpressure (no loss, bounded buffering),
-// partial-write resumption on multi-megabyte frames, idle-connection harvesting,
-// the connection cap, model-default option resolution, and the client-side receive
-// timeout against a server that never answers. The mixed-workload stress test is
+// Epoll transport tests: request pipelining with in-order responses, slow-reader
+// backpressure (no loss, bounded buffering), partial-write resumption on
+// multi-megabyte frames, idle-connection harvesting, the connection cap, and the
+// client-side receive timeout against a server that never answers. The mixed-workload stress test is
 // the body of the server_epoll_tsan_gate ctest (tests/CMakeLists.txt,
 // HAC_SANITIZE=thread).
 #include <arpa/inet.h>
@@ -133,7 +132,6 @@ class PipelinedConn {
 class EpollServerTest : public ::testing::Test {
  protected:
   void StartServer(TcpServerOptions options = {}) {
-    options.io_model = IoModel::kEpoll;
     service_.emplace(fs_);
     server_.emplace(*service_, options);
     ASSERT_TRUE(server_->Start().ok());
@@ -153,23 +151,6 @@ class EpollServerTest : public ::testing::Test {
   std::optional<HacService> service_;
   std::optional<TcpServer> server_;
 };
-
-TEST_F(EpollServerTest, MaxConnectionsResolvesPerIoModel) {
-  HacService service(fs_);
-  TcpServerOptions epoll_opts;
-  epoll_opts.io_model = IoModel::kEpoll;
-  EXPECT_EQ(TcpServer(service, epoll_opts).max_connections(), 4096u);
-
-  TcpServerOptions blocking_opts;
-  blocking_opts.io_model = IoModel::kThreadPerConnection;
-  EXPECT_EQ(TcpServer(service, blocking_opts).max_connections(), 256u);
-
-  TcpServerOptions explicit_opts;
-  explicit_opts.io_model = IoModel::kEpoll;
-  explicit_opts.max_connections = 7;
-  EXPECT_EQ(TcpServer(service, explicit_opts).max_connections(), 7u);
-  service.Stop();
-}
 
 TEST_F(EpollServerTest, PipelinedRequestsAnswerInRequestOrder) {
   StartServer();

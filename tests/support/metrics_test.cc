@@ -38,8 +38,6 @@ TEST(HistogramTest, BucketBoundaries) {
   EXPECT_EQ(Histogram::BucketUpperBound(Histogram::kBuckets - 1), UINT64_MAX);
 }
 
-#if HAC_METRICS_ENABLED
-
 TEST(HistogramTest, CountSumMean) {
   Histogram h;
   EXPECT_EQ(h.Count(), 0u);
@@ -132,8 +130,6 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsDoNotLose) {
   EXPECT_EQ(c.Value(), uint64_t{kThreads} * kPerThread);
   EXPECT_EQ(h.Count(), uint64_t{kThreads} * kPerThread);
 }
-
-#endif  // HAC_METRICS_ENABLED
 
 TEST(MetricsRegistryTest, GlobalPreRegistersEveryName) {
   std::vector<std::string> names = MetricsRegistry::Global().Names();

@@ -11,8 +11,6 @@
 namespace hac {
 namespace {
 
-#if HAC_METRICS_ENABLED
-
 // The tests share the process-global ring; Clear() gives each one a fresh window.
 
 TEST(TraceRingTest, SpanIsRecordedWithArgs) {
@@ -141,16 +139,6 @@ TEST(TraceRingTest, ThreadIdsAreDense) {
   std::thread([&other] { other = TraceRing::CurrentTid(); }).join();
   EXPECT_NE(other, here);
 }
-
-#else
-
-TEST(TraceRingTest, CompiledOutSpanIsInert) {
-  TraceSpan span("test.disabled_build");
-  span.Arg("k", 1);
-  EXPECT_FALSE(span.active());
-}
-
-#endif  // HAC_METRICS_ENABLED
 
 }  // namespace
 }  // namespace hac

@@ -189,7 +189,6 @@ TEST(HacctlTest, TraceOutputIsValidChromeJson) {
 }
 
 TEST(HacctlTest, DemoWorkloadActuallyFiresTheHotSubsystems) {
-#if HAC_METRICS_ENABLED
   auto result = RunHacctl({"stats"});
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   const std::string& json = result.value();
@@ -202,7 +201,6 @@ TEST(HacctlTest, DemoWorkloadActuallyFiresTheHotSubsystems) {
     EXPECT_EQ(json.find(std::string("\"") + name + "\": 0,"), std::string::npos)
         << name << " is zero after the demo workload";
   }
-#endif
 }
 
 }  // namespace
