@@ -285,8 +285,7 @@ Result<void> ConsistencyEngine::VisitEager(DirUid uid) {
                        host_->index_->Evaluate(*optimized, parent_scope, &resolver));
 
   Bitmap transient_delta;
-  return MaterializeTransients(uid, path, raw, /*refresh_filter=*/nullptr,
-                               &transient_delta);
+  return ApplyTransients(uid, path, raw, /*refresh_filter=*/nullptr, &transient_delta);
 }
 
 Result<void> ConsistencyEngine::VisitIncremental(
@@ -352,7 +351,7 @@ Result<void> ConsistencyEngine::VisitIncremental(
   QueryExprPtr optimized = OptimizeQuery(meta->query->Clone(), host_->index_.get());
 
   Bitmap raw;
-  Bitmap delta;  // the Δ of a delta evaluation; also its link-refresh filter
+  Bitmap delta;  // the Δ of a delta evaluation; also its permanent re-point filter
   const bool full_eval = !meta->eval.valid;
   if (full_eval) {
     host_->counters_.query_evaluations.Inc();
@@ -385,9 +384,8 @@ Result<void> ConsistencyEngine::VisitIncremental(
 
   host_->counters_.scope_propagations.Inc();
   Bitmap transient_delta;
-  HAC_RETURN_IF_ERROR(MaterializeTransients(uid, path, raw,
-                                            full_eval ? nullptr : &delta,
-                                            &transient_delta));
+  HAC_RETURN_IF_ERROR(ApplyTransients(uid, path, raw, full_eval ? nullptr : &delta,
+                                      &transient_delta));
   HAC_ASSIGN_OR_RETURN(meta, host_->MetaOfUid(uid));
   if (!transient_delta.Empty()) {
     ++meta->scope_epoch;
@@ -401,10 +399,10 @@ Result<void> ConsistencyEngine::VisitIncremental(
   return OkResult();
 }
 
-Result<void> ConsistencyEngine::MaterializeTransients(DirUid uid, const std::string& path,
-                                                      const Bitmap& raw,
-                                                      const Bitmap* refresh_filter,
-                                                      Bitmap* transient_delta) {
+Result<void> ConsistencyEngine::ApplyTransients(DirUid uid, const std::string& path,
+                                                const Bitmap& raw,
+                                                const Bitmap* refresh_filter,
+                                                Bitmap* transient_delta) {
   HAC_ASSIGN_OR_RETURN(DirMetadata * meta, host_->MetaOfUid(uid));
   // A file physically sitting in this very directory is already "here": no self-link.
   Bitmap result = raw;
@@ -416,76 +414,70 @@ Result<void> ConsistencyEngine::MaterializeTransients(DirUid uid, const std::str
   new_transient.AndNot(meta->links.permanent());
   new_transient.AndNot(meta->links.prohibited());
 
-  // Materialize the diff as symlink churn in the VFS.
+  // Apply the diff to the link table, the transient links' only store. Each link still
+  // spends what a VFS symlink would (FileSystem::AddExternalLink), so inode ids, mtimes
+  // and the clock come out as if the links were VFS symlinks.
   Bitmap old_transient = meta->links.transient();
   Bitmap removed = old_transient;
   removed.AndNot(new_transient);
   Bitmap added = new_transient;
   added.AndNot(old_transient);
 
+  FileSystem& vfs = host_->vfs_;
   Result<void> status = OkResult();
   removed.ForEach([&](DocId doc) {
-    if (!status.ok()) {
-      return;
-    }
     auto name = meta->links.NameOf(doc);
-    if (!name.ok()) {
+    if (!status.ok() || !name.ok()) {
       return;
     }
     (void)meta->links.RemoveLink(name.value());
-    (void)host_->vfs_.Unlink(JoinPath(path == "/" ? "" : path, name.value()));
+    status = vfs.RemoveExternalLink(meta->inode);
     host_->counters_.transient_links_removed.Inc();
   });
   HAC_RETURN_IF_ERROR(status);
 
-  auto taken = [this, &path](const std::string& candidate) {
-    return host_->vfs_.Exists(JoinPath(path == "/" ? "" : path, candidate));
+  // Names must not collide with the directory's stored entries, which would shadow them.
+  const Inode* dir = vfs.FindInode(meta->inode);
+  auto taken = [dir](const std::string& candidate) {
+    return dir != nullptr && dir->entries.count(candidate) != 0;
   };
   added.ForEach([&](DocId doc) {
-    if (!status.ok()) {
-      return;
-    }
     const FileRecord* rec = host_->registry_.Get(doc);
-    if (rec == nullptr || !rec->alive) {
+    if (!status.ok() || rec == nullptr || !rec->alive) {
       return;
     }
     std::string name = meta->links.UniqueName(BaseName(rec->path), taken);
-    Result<void> s =
-        host_->vfs_.Symlink(rec->path, JoinPath(path == "/" ? "" : path, name));
-    if (!s.ok()) {
-      status = s;
-      return;
+    auto link = vfs.AddExternalLink(meta->inode);
+    status = link.ok() ? meta->links.AddLink(name, doc, LinkClass::kTransient,
+                                             link.value().id, link.value().mtime)
+                       : Result<void>(link.error());
+    if (status.ok()) {
+      host_->counters_.transient_links_added.Inc();
     }
-    s = meta->links.AddLink(name, doc, LinkClass::kTransient);
-    if (!s.ok()) {
-      status = s;
-      return;
-    }
-    host_->counters_.transient_links_added.Inc();
   });
   HAC_RETURN_IF_ERROR(status);
 
-  // Refresh stale symlink targets (files may have been renamed since materialization).
-  // An incremental visit only needs to look at links whose doc is in the delta — a
-  // rename always logs the doc, so anything outside the delta still points right.
-  for (const auto& [name, rec] : meta->links.links()) {
-    if (rec.doc == kInvalidDocId) {
-      continue;
-    }
-    if (refresh_filter != nullptr && !refresh_filter->Test(rec.doc)) {
-      continue;
-    }
-    const FileRecord* file = host_->registry_.Get(rec.doc);
-    if (file == nullptr || !file->alive) {
-      continue;
-    }
-    std::string link_path = JoinPath(path == "/" ? "" : path, name);
-    auto target = host_->vfs_.ReadLink(link_path);
-    if (target.ok() && target.value() != file->path) {
-      (void)host_->vfs_.Unlink(link_path);
-      (void)host_->vfs_.Symlink(file->path, link_path);
-    }
+  // A transient link's target is its doc's current path, so it never goes stale.
+  // Permanent links are the user's VFS symlinks with stored targets: re-point those
+  // whose doc moved. An incremental visit only looks at docs in its delta (a rename
+  // always logs the doc).
+  Bitmap repoint = meta->links.permanent();
+  if (refresh_filter != nullptr) {
+    repoint &= *refresh_filter;
   }
+  repoint.ForEach([&](DocId doc) {
+    const FileRecord* file = host_->registry_.Get(doc);
+    auto name = meta->links.NameOf(doc);
+    if (file == nullptr || !file->alive || !name.ok()) {
+      return;
+    }
+    std::string link_path = JoinPath(path == "/" ? "" : path, name.value());
+    auto target = vfs.ReadLink(link_path);
+    if (target.ok() && target.value() != file->path) {
+      (void)vfs.Unlink(link_path);
+      (void)vfs.Symlink(file->path, link_path);
+    }
+  });
 
   *transient_delta = old_transient;
   *transient_delta ^= new_transient;

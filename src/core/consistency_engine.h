@@ -30,8 +30,8 @@
 //
 // An incremental pass visits the affected subgraph level by level
 // (DependencyGraph::AffectedInLevels): a directory's level is its longest dependency
-// path from a source, and each level is visited in ascending-uid order, so the VFS
-// mutation order — and with it symlink names and inode numbers — is deterministic.
+// path from a source, and each level is visited in ascending-uid order, so the order of
+// link-table edits — and with it link names and inode ids — is deterministic.
 #ifndef HAC_CORE_CONSISTENCY_ENGINE_H_
 #define HAC_CORE_CONSISTENCY_ENGINE_H_
 
@@ -110,7 +110,7 @@ class ConsistencyEngine {
   // its mutation produced. `full` visits the whole DAG instead of the affected set.
   Result<void> RunPass(std::map<DirUid, Bitmap> origins, bool full);
 
-  // Paper-faithful visit: full evaluation, unconditional link refresh.
+  // Paper-faithful visit: full evaluation, every permanent link re-pointed if stale.
   Result<void> VisitEager(DirUid uid);
 
   // Epoch-gated visit: short-circuit, or splice Eval(query, scope' ∩ Δ) into the
@@ -119,12 +119,11 @@ class ConsistencyEngine {
   Result<void> VisitIncremental(DirUid uid, const std::map<DirUid, Bitmap>& origins,
                                 std::unordered_map<DirUid, Bitmap>* contents_delta);
 
-  // Shared tail of both visits: subtract self-links and user edits from `raw`,
-  // materialize the transient diff as symlink churn, refresh stale link targets.
-  // `refresh_filter` limits target refresh to docs in the delta (null = refresh all).
-  Result<void> MaterializeTransients(DirUid uid, const std::string& path,
-                                     const Bitmap& raw, const Bitmap* refresh_filter,
-                                     Bitmap* transient_delta);
+  // Shared tail of both visits: subtract self-links and user edits from `raw`, apply
+  // the transient diff to the link table, re-point permanent symlinks whose doc moved.
+  // `refresh_filter` limits the re-pointing to docs in the delta (null = all).
+  Result<void> ApplyTransients(DirUid uid, const std::string& path, const Bitmap& raw,
+                               const Bitmap* refresh_filter, Bitmap* transient_delta);
 
   uint64_t DepEpochSum(DirUid uid) const;
   Bitmap DocDeltaSince(uint64_t gen_seen) const;

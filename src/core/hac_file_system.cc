@@ -21,6 +21,7 @@ HacFileSystem::HacFileSystem(HacOptions options)
   meta.inode = vfs_.root_id();
   metadata_.emplace(root, std::move(meta));
   processes_.emplace_back();  // process 0
+  ServeTransientLinks();
   if (options_.verify_results_with_content) {
     index_->SetContentVerifier([this](DocId doc) -> Result<std::string> {
       const FileRecord* rec = registry_.Get(doc);
@@ -67,6 +68,179 @@ Result<const DirMetadata*> HacFileSystem::MetaOfUid(DirUid uid) const {
     return Error(ErrorCode::kNotFound, "no metadata for uid " + std::to_string(uid));
   }
   return &it->second;
+}
+
+// ---------------------------------------------------------------------------
+// The derived view: transient links served from the link tables
+// ---------------------------------------------------------------------------
+
+void HacFileSystem::ServeTransientLinks() {
+  vfs_.SetExternalLinkResolver(
+      [this](const std::string& dir_path, const std::string& name) -> const std::string* {
+        auto link = FindTransient(JoinPath(dir_path, name));
+        return link ? &TargetOf(*link->rec) : nullptr;
+      });
+}
+
+std::optional<HacFileSystem::TransientRef> HacFileSystem::FindTransient(
+    const std::string& norm) {
+  if (norm == "/") {
+    return std::nullopt;
+  }
+  std::string dir_path = DirName(norm);
+  auto uid = uid_map_.UidOf(dir_path);
+  if (!uid.ok()) {
+    // Not a registered directory: missing, or reached through a symlink.
+    auto at = vfs_.Locate(norm, /*follow_final=*/false);
+    if (!at.ok() || at.value().node != kInvalidInode) {
+      return std::nullopt;
+    }
+    dir_path = DirName(at.value().path);
+    uid = uid_map_.UidOf(dir_path);
+    if (!uid.ok()) {
+      return std::nullopt;
+    }
+  }
+  auto meta = metadata_.find(uid.value());
+  if (meta == metadata_.end()) {
+    return std::nullopt;
+  }
+  std::string name = BaseName(norm);
+  const LinkRecord* rec = meta->second.links.Find(name);
+  if (rec == nullptr || rec->cls != LinkClass::kTransient) {
+    return std::nullopt;
+  }
+  const Inode* dir = vfs_.FindInode(meta->second.inode);
+  if (dir == nullptr || dir->entries.count(name) != 0) {
+    return std::nullopt;  // shadowed by a stored entry
+  }
+  return TransientRef{&meta->second, std::move(dir_path), std::move(name), rec};
+}
+
+const std::string& HacFileSystem::TargetOf(const LinkRecord& rec) const {
+  // Tracked docs keep their records for good (deleted files stay, not alive).
+  return registry_.Get(rec.doc)->path;
+}
+
+Stat HacFileSystem::TransientStat(const LinkRecord& rec) const {
+  Stat st;
+  st.inode = rec.inode;
+  st.type = NodeType::kSymlink;
+  st.size = TargetOf(rec).size();
+  st.mtime = rec.mtime;
+  st.nlink = 1;
+  return st;
+}
+
+Result<DirMetadata*> HacFileSystem::LocalDir(const std::string& norm) {
+  auto uid = uid_map_.UidOf(norm);
+  if (!uid.ok()) {
+    HAC_ASSIGN_OR_RETURN(FileSystem::Location at, vfs_.Locate(norm, /*follow_final=*/true));
+    if (at.node == kInvalidInode) {
+      return Error(ErrorCode::kNotFound, norm);
+    }
+    if (vfs_.FindInode(at.node)->type != NodeType::kDirectory) {
+      return Error(ErrorCode::kNotADirectory, norm);
+    }
+    HAC_ASSIGN_OR_RETURN(DirUid real, uid_map_.UidOf(at.path));
+    return MetaOfUid(real);
+  }
+  return MetaOfUid(uid.value());
+}
+
+std::vector<DirEntry> HacFileSystem::MergedEntries(const DirMetadata& dir,
+                                                   const std::string& after,
+                                                   size_t max_entries, size_t max_bytes,
+                                                   bool* has_more) const {
+  static const std::map<std::string, InodeId> kNoEntries;
+  const Inode* node = vfs_.FindInode(dir.inode);
+  const auto& stored = node != nullptr ? node->entries : kNoEntries;
+  const auto& links = dir.links.links();
+  auto s = after.empty() ? stored.begin() : stored.upper_bound(after);
+  auto l = after.empty() ? links.begin() : links.upper_bound(after);
+  std::vector<DirEntry> out;
+  size_t bytes = 0;
+  bool more = false;
+  for (;;) {
+    while (l != links.end() && l->second.cls != LinkClass::kTransient) {
+      ++l;
+    }
+    if (s == stored.end() && l == links.end()) {
+      break;
+    }
+    // On a shared name the stored entry wins: it shadows the transient link.
+    const bool take_stored = l == links.end() || (s != stored.end() && s->first <= l->first);
+    const std::string& name = take_stored ? s->first : l->first;
+    if (out.size() >= max_entries ||
+        (max_bytes != 0 && !out.empty() && bytes + name.size() > max_bytes)) {
+      more = true;
+      break;
+    }
+    bytes += name.size();
+    if (take_stored) {
+      if (l != links.end() && l->first == s->first) {
+        ++l;
+      }
+      out.push_back(DirEntry{s->first, vfs_.FindInode(s->second)->type, s->second});
+      ++s;
+    } else {
+      out.push_back(DirEntry{l->first, NodeType::kSymlink, l->second.inode});
+      ++l;
+    }
+  }
+  if (has_more != nullptr) {
+    *has_more = more;
+  }
+  return out;
+}
+
+Result<Stat> HacFileSystem::LocalLstat(const std::string& norm) {
+  if (auto link = FindTransient(norm)) {
+    return TransientStat(*link->rec);
+  }
+  HAC_ASSIGN_OR_RETURN(Stat st, vfs_.LstatPath(norm));
+  CountTransients(norm, &st);
+  return st;
+}
+
+void HacFileSystem::CountTransients(const std::string& norm, Stat* st) {
+  if (st->type != NodeType::kDirectory) {
+    return;
+  }
+  auto uid = uid_map_.UidOf(norm);
+  auto meta = uid.ok() ? metadata_.find(uid.value()) : metadata_.end();
+  if (meta == metadata_.end() || meta->second.inode != st->inode) {
+    // `norm` runs through a symlink: find the directory by its real path.
+    auto real = vfs_.PathOf(st->inode);
+    uid = real.ok() ? uid_map_.UidOf(real.value()) : Result<DirUid>(real.error());
+    meta = uid.ok() ? metadata_.find(uid.value()) : metadata_.end();
+  }
+  if (meta != metadata_.end()) {
+    st->size += meta->second.links.TransientCount();
+  }
+}
+
+Result<void> HacFileSystem::PromoteTracked(DirMetadata* m, const std::string& link_path) {
+  const std::string name = BaseName(link_path);
+  const LinkRecord* rec = m->links.Find(name);
+  if (rec != nullptr && rec->cls == LinkClass::kTransient) {
+    HAC_RETURN_IF_ERROR(
+        vfs_.AttachSymlink(link_path, {rec->inode, rec->mtime}, TargetOf(*rec)));
+  }
+  return m->links.Promote(name);
+}
+
+Result<void> HacFileSystem::DemoteTracked(DirMetadata* m, const std::string& link_path) {
+  const std::string name = BaseName(link_path);
+  const LinkRecord* rec = m->links.Find(name);
+  if (rec == nullptr) {
+    return Error(ErrorCode::kNotFound, "link " + name);
+  }
+  if (rec->cls == LinkClass::kTransient || rec->doc == kInvalidDocId) {
+    return m->links.Demote(name, rec->inode, rec->mtime);  // no-op, or the foreign error
+  }
+  HAC_ASSIGN_OR_RETURN(FileSystem::ExternalLink kept, vfs_.DetachSymlink(link_path));
+  return m->links.Demote(name, kept.id, kept.mtime);
 }
 
 void HacFileSystem::NoteContentMutation() {
@@ -119,6 +293,9 @@ Result<void> HacFileSystem::Mkdir(const std::string& path) {
   if (!r.local) {
     return r.fs->Mkdir(r.path);
   }
+  if (FindTransient(r.path)) {
+    return Error(ErrorCode::kAlreadyExists, r.path);
+  }
   HAC_RETURN_IF_ERROR(vfs_.Mkdir(r.path));
   return RegisterDirectory(r.path);
 }
@@ -140,14 +317,19 @@ Result<void> HacFileSystem::Rmdir(const std::string& path) {
   // The emptiness check below must see settled link sets, not a half-open batch.
   HAC_RETURN_IF_ERROR(engine_->Flush());
   HAC_ASSIGN_OR_RETURN(DirUid uid, uid_map_.UidOf(r.path));
+  HAC_ASSIGN_OR_RETURN(DirMetadata * meta, MetaOfUid(uid));
+  const bool has_links = meta->links.TransientCount() != 0;
   if (!graph_.DirectDependentsOf(uid).empty()) {
     // Either child directories (then the directory is not empty) or query references
     // from elsewhere (then removal would orphan those queries).
     HAC_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, vfs_.ReadDir(r.path));
-    if (!entries.empty()) {
+    if (!entries.empty() || has_links) {
       return Error(ErrorCode::kNotEmpty, r.path);
     }
     return Error(ErrorCode::kBusy, r.path + " is referenced by other queries");
+  }
+  if (has_links) {
+    return Error(ErrorCode::kNotEmpty, r.path);
   }
   HAC_RETURN_IF_ERROR(vfs_.Rmdir(r.path));
   (void)graph_.RemoveNode(uid);
@@ -159,11 +341,21 @@ Result<void> HacFileSystem::Rmdir(const std::string& path) {
 
 Result<std::vector<DirEntry>> HacFileSystem::ReadDir(const std::string& path) {
   HAC_ASSIGN_OR_RETURN(Routed r, Route(path));
-  if (r.local) {
-    // Listing a directory observes its link set: settle any batched mutations first.
-    HAC_RETURN_IF_ERROR(engine_->Flush());
+  if (!r.local) {
+    return r.fs->ReadDir(r.path);
   }
-  return r.fs->ReadDir(r.path);
+  // Listing a directory observes its link set: settle any batched mutations first.
+  HAC_RETURN_IF_ERROR(engine_->Flush());
+  return ReadLocalDir(r.path);
+}
+
+Result<std::vector<DirEntry>> HacFileSystem::ReadLocalDir(const std::string& path) {
+  std::string norm = NormalizePath(path);
+  if (norm.empty()) {
+    return Error(ErrorCode::kInvalidArgument, "path must be absolute: " + path);
+  }
+  HAC_ASSIGN_OR_RETURN(DirMetadata * dir, LocalDir(norm));
+  return MergedEntries(*dir, "", SIZE_MAX, 0, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,8 +389,8 @@ Result<DirPageResult> HacFileSystem::ReadDirPage(const std::string& path,
   const std::string& after = resuming ? token->last_name : std::string();
   DirPageResult page;
   if (r.local) {
-    HAC_ASSIGN_OR_RETURN(page.entries, vfs_.ReadDirPage(r.path, after, max_entries,
-                                                        max_bytes, &page.has_more));
+    HAC_ASSIGN_OR_RETURN(DirMetadata * dir, LocalDir(r.path));
+    page.entries = MergedEntries(*dir, after, max_entries, max_bytes, &page.has_more);
   } else {
     // Mounted name spaces only expose the plain interface: enumerate fully and
     // slice — paging still bounds the *returned* (and wire-encoded) volume.
@@ -236,14 +428,19 @@ Result<Fd> HacFileSystem::Open(const std::string& path, uint32_t flags) {
     return processes_[current_process_].Allocate(
         HacOpenFile{r.fs, backend_fd, kInvalidInode, NormalizePath(path)});
   }
-  const bool existed = vfs_.Exists(r.path);
+  // Where the open lands: through a symlink (stored or transient), at its target —
+  // the path a created file is registered under. Open reports any resolution error.
+  auto located = vfs_.Locate(r.path, /*follow_final=*/true);
+  const bool existed = located.ok() && located.value().node != kInvalidInode;
   HAC_ASSIGN_OR_RETURN(Fd backend_fd, vfs_.Open(r.path, flags));
-  HAC_ASSIGN_OR_RETURN(InodeId inode, vfs_.Lookup(r.path));
+  FileSystem::Location& at = located.value();
+  InodeId inode = at.node;
   if (!existed) {
+    HAC_ASSIGN_OR_RETURN(inode, vfs_.Lookup(at.path));
     // Phase-2 bookkeeping: register the file, seed the attribute cache, journal it.
-    auto doc = registry_.Add(inode, r.path);
+    auto doc = registry_.Add(inode, at.path);
     if (doc.ok()) {
-      journal_.Append(JournalOp::kFileRegistered, doc.value(), r.path);
+      journal_.Append(JournalOp::kFileRegistered, doc.value(), at.path);
       // The new doc entered every enclosing scope; dependents fold it into their next
       // delta (it stays unindexed until reindex, exactly the deferred semantics).
       engine_->NoteDocChanged(doc.value());
@@ -258,10 +455,11 @@ Result<Fd> HacFileSystem::Open(const std::string& path, uint32_t flags) {
       (void)registry_.MarkDirty(doc.value());
     }
     attr_cache_.Invalidate(inode);
-    journal_.Append(JournalOp::kFileTruncated, 0, r.path);
+    journal_.Append(JournalOp::kFileTruncated, 0, at.path);
     NoteContentMutation();
   }
-  return processes_[current_process_].Allocate(HacOpenFile{&vfs_, backend_fd, inode, r.path});
+  return processes_[current_process_].Allocate(
+      HacOpenFile{&vfs_, backend_fd, inode, std::move(at.path)});
 }
 
 Result<void> HacFileSystem::Close(Fd fd) {
@@ -309,7 +507,10 @@ Result<uint64_t> HacFileSystem::Seek(Fd fd, uint64_t offset) {
 
 Result<void> HacFileSystem::ProhibitTrackedLink(DirMetadata* m, const std::string& dir_path,
                                                 const std::string& name, bool unlink_vfs) {
-  if (unlink_vfs) {
+  const LinkRecord* rec = m->links.Find(name);
+  if (rec != nullptr && rec->cls == LinkClass::kTransient) {
+    HAC_RETURN_IF_ERROR(vfs_.RemoveExternalLink(m->inode));
+  } else if (unlink_vfs) {
     (void)vfs_.Unlink(JoinPath(dir_path == "/" ? "" : dir_path, name));
   }
   auto removed = m->links.RemoveLink(name);
@@ -328,6 +529,12 @@ Result<void> HacFileSystem::Unlink(const std::string& path) {
   if (!r.local) {
     return r.fs->Unlink(r.path);
   }
+  if (auto link = FindTransient(r.path)) {
+    // Explicit user deletion: the link becomes prohibited and must never be silently
+    // re-added (section 2.3).
+    journal_.Append(JournalOp::kUnlinked, 0, r.path);
+    return ProhibitTrackedLink(link->dir, link->dir_path, link->name, /*unlink_vfs=*/true);
+  }
   HAC_ASSIGN_OR_RETURN(Stat st, vfs_.LstatPath(r.path));
   std::string parent_path = DirName(r.path);
   std::string name = BaseName(r.path);
@@ -337,8 +544,7 @@ Result<void> HacFileSystem::Unlink(const std::string& path) {
     journal_.Append(JournalOp::kUnlinked, 0, r.path);
     auto meta = MetaOfPath(parent_path);
     if (meta.ok() && meta.value()->links.Find(name) != nullptr) {
-      // Explicit user deletion: the link becomes prohibited and must never be
-      // silently re-added (section 2.3). Shared with the Prohibit() API.
+      // A permanent link: prohibited from now on, as above. Shared with Prohibit().
       return ProhibitTrackedLink(meta.value(), parent_path, name,
                                  /*unlink_vfs=*/false);
     }
@@ -373,7 +579,21 @@ Result<void> HacFileSystem::Rename(const std::string& from, const std::string& t
   if (!src.local) {
     return src.fs->Rename(src.path, dst.path);
   }
-  HAC_ASSIGN_OR_RETURN(Stat st, vfs_.LstatPath(src.path));
+  std::optional<TransientRef> src_link = FindTransient(src.path);
+  HAC_ASSIGN_OR_RETURN(Stat st, LocalLstat(src.path));
+  if (auto dst_link = FindTransient(dst.path);
+      dst_link && !(src_link && src_link->rec == dst_link->rec)) {
+    if (st.type == NodeType::kDirectory) {
+      return Error(ErrorCode::kAlreadyExists, dst.path);
+    }
+    // Replacing a transient link deletes it, exactly as Unlink would: its doc is
+    // prohibited there, and the directory no longer serves the name.
+    HAC_RETURN_IF_ERROR(ProhibitTrackedLink(dst_link->dir, dst_link->dir_path,
+                                            dst_link->name, /*unlink_vfs=*/true));
+    // The pass that settled the prohibition may have re-derived the source's links.
+    src_link = FindTransient(src.path);
+    HAC_ASSIGN_OR_RETURN(st, LocalLstat(src.path));
+  }
 
   if (st.type == NodeType::kSymlink) {
     // Moving a query-result link: leaving a directory prohibits it there; arriving in a
@@ -383,7 +603,18 @@ Result<void> HacFileSystem::Rename(const std::string& from, const std::string& t
     std::string dst_parent = DirName(dst.path);
     std::string src_name = BaseName(src.path);
     std::string dst_name = BaseName(dst.path);
-    HAC_RETURN_IF_ERROR(vfs_.Rename(src.path, dst.path));
+    if (src_link) {
+      // The user takes the link over: it becomes the VFS symlink it will stay, then
+      // moves as one.
+      HAC_RETURN_IF_ERROR(vfs_.AttachSymlink(
+          src.path, {src_link->rec->inode, src_link->rec->mtime}, TargetOf(*src_link->rec)));
+    }
+    if (Result<void> moved = vfs_.Rename(src.path, dst.path); !moved.ok()) {
+      if (src_link) {
+        (void)vfs_.DetachSymlink(src.path);
+      }
+      return moved.error();
+    }
     DocId doc = kInvalidDocId;
     if (auto meta = MetaOfPath(src_parent); meta.ok()) {
       if (meta.value()->links.Find(src_name) != nullptr) {
@@ -475,6 +706,9 @@ Result<void> HacFileSystem::Symlink(const std::string& target, const std::string
   if (!r.local) {
     return r.fs->Symlink(target, r.path);
   }
+  if (FindTransient(r.path)) {
+    return Error(ErrorCode::kAlreadyExists, r.path);
+  }
   HAC_RETURN_IF_ERROR(vfs_.Symlink(target, r.path));
   std::string parent_path = DirName(r.path);
   std::string name = BaseName(r.path);
@@ -501,7 +735,8 @@ Result<void> HacFileSystem::Symlink(const std::string& target, const std::string
     // The file is already linked here; the user's explicit symlink pins it. Promote the
     // existing link to permanent and track the new entry as a plain alias.
     HAC_ASSIGN_OR_RETURN(std::string existing, m->links.NameOf(doc.value()));
-    HAC_RETURN_IF_ERROR(m->links.Promote(existing));
+    HAC_RETURN_IF_ERROR(
+        PromoteTracked(m, JoinPath(parent_path == "/" ? "" : parent_path, existing)));
     HAC_RETURN_IF_ERROR(m->links.AddForeignLink(name));
     delta.Set(doc.value());
   } else {
@@ -516,7 +751,18 @@ Result<void> HacFileSystem::Symlink(const std::string& target, const std::string
 
 Result<std::string> HacFileSystem::ReadLink(const std::string& path) {
   HAC_ASSIGN_OR_RETURN(Routed r, Route(path));
-  return r.fs->ReadLink(r.path);
+  if (!r.local) {
+    return r.fs->ReadLink(r.path);
+  }
+  return ReadLocalLink(r.path);
+}
+
+Result<std::string> HacFileSystem::ReadLocalLink(const std::string& path) {
+  std::string norm = NormalizePath(path);
+  if (auto link = FindTransient(norm)) {
+    return TargetOf(*link->rec);
+  }
+  return vfs_.ReadLink(norm);
 }
 
 // ---------------------------------------------------------------------------
@@ -528,12 +774,14 @@ Result<Stat> HacFileSystem::StatPath(const std::string& path) {
   if (!r.local) {
     return r.fs->StatPath(r.path);
   }
-  // Phase-3 path: resolve, then consult the shared attribute cache.
+  // Phase-3 path: resolve, then consult the shared attribute cache. The VFS follows
+  // transient links itself (ServeTransientLinks).
   HAC_ASSIGN_OR_RETURN(InodeId inode, vfs_.Lookup(r.path, /*follow_final=*/true));
   if (auto cached = attr_cache_.Get(inode); cached.has_value()) {
     return *cached;
   }
   HAC_ASSIGN_OR_RETURN(Stat st, vfs_.StatPath(r.path));
+  CountTransients(r.path, &st);
   attr_cache_.Put(inode, st);
   return st;
 }
@@ -543,7 +791,7 @@ Result<Stat> HacFileSystem::LstatPath(const std::string& path) {
   if (!r.local) {
     return r.fs->LstatPath(r.path);
   }
-  return vfs_.LstatPath(r.path);
+  return LocalLstat(r.path);
 }
 
 // ---------------------------------------------------------------------------

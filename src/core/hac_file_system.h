@@ -7,6 +7,12 @@
 // call surface it adds the semantic operations: smkdir / schq / sreadq / ssync / sact /
 // smount and the link-class control API of the paper's footnote 1.
 //
+// Transient links are a derived view: the per-directory LinkTable is their only store,
+// and the facade serves them wherever the name space is observed (ReadDir/ReadDirPage,
+// Stat/Lstat, ReadLink, path resolution) as symlinks whose target is the doc's current
+// path. A real VFS entry shadows a transient name. Permanent and foreign links are
+// ordinary VFS symlinks.
+//
 // Consistency model (sections 2.3-2.4):
 //   * scope consistency is restored after any link edit, query change or directory
 //     move by the ConsistencyEngine (core/consistency_engine.h): immediately with the
@@ -18,6 +24,7 @@
 #define HAC_CORE_HAC_FILE_SYSTEM_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -207,6 +214,14 @@ class HacFileSystem final : public FsInterface {
   // Current absolute path of a registered document.
   Result<std::string> PathOfDoc(DocId doc) const;
 
+  // --- the local name space as served, below syntactic mounts (audits, digests) ---
+  //
+  // A local directory's entries: its VFS entries and its transient links merged in
+  // name order. Neither flushes a batch.
+  Result<std::vector<DirEntry>> ReadLocalDir(const std::string& path);
+  // A local symlink's target: a transient link's doc path, or the VFS symlink's.
+  Result<std::string> ReadLocalLink(const std::string& path);
+
   // HAC metadata footprint (per-dir metadata, UID map, dep graph, registry, mounts,
   // journal) — the paper's "222 KB vs 210 KB" measurement.
   size_t MetadataSizeBytes() const;
@@ -216,7 +231,8 @@ class HacFileSystem final : public FsInterface {
   // --- whole-state persistence (core/hac_persistence.cc) ---
   //
   // Saves the VFS image plus all durable HAC state: the file registry, every
-  // directory's query and link classification (permanent/transient/prohibited).
+  // directory's query and link classification (permanent/transient/prohibited; a
+  // transient link keeps its inode id and creation tick across a save and load).
   // Queries are saved in rendered form (current paths), so the UID map and dependency
   // graph are rebuilt at load and dir() references re-bind correctly. Mounts,
   // descriptor tables, the attribute cache and the journal are session state and are
@@ -239,6 +255,46 @@ class HacFileSystem final : public FsInterface {
   Result<Routed> Route(const std::string& path) const;
 
   Result<DirMetadata*> MetaOfPath(const std::string& norm_path);
+
+  // --- the derived view of transient links ---
+
+  // Lets the VFS walk paths through transient links (FileSystem::ExternalLinkResolver).
+  void ServeTransientLinks();
+
+  // A transient link named by a local path's final component.
+  struct TransientRef {
+    DirMetadata* dir;
+    std::string dir_path;  // the directory's real path
+    std::string name;
+    const LinkRecord* rec;
+  };
+  // The transient link `norm` (a normalized local path) names, if any. A VFS entry of
+  // the same name shadows it.
+  std::optional<TransientRef> FindTransient(const std::string& norm);
+  // The doc path a transient link points at.
+  const std::string& TargetOf(const LinkRecord& rec) const;
+  Stat TransientStat(const LinkRecord& rec) const;
+
+  // The local directory `norm` names (symlinks followed); errors as the VFS's ReadDir.
+  Result<DirMetadata*> LocalDir(const std::string& norm);
+  // A directory's entries named strictly after `after` ("" = from the start), stored
+  // and transient merged in name order: at most `max_entries`, stopping before the
+  // summed name bytes would pass `max_bytes` (0 = unbounded; at least one entry).
+  std::vector<DirEntry> MergedEntries(const DirMetadata& dir, const std::string& after,
+                                      size_t max_entries, size_t max_bytes,
+                                      bool* has_more) const;
+  // Lstat of a local path, transient links included; directories count their
+  // transient links in `size`.
+  Result<Stat> LocalLstat(const std::string& norm);
+  // Adds the transient links of the directory `st` describes (reached by `norm`) to
+  // its size.
+  void CountTransients(const std::string& norm, Stat* st);
+
+  // Class changes move a link between the link table and the VFS under the same inode
+  // id and mtime: a promoted link becomes the user's VFS symlink, a demoted one leaves
+  // the VFS for the table.
+  Result<void> PromoteTracked(DirMetadata* m, const std::string& link_path);
+  Result<void> DemoteTracked(DirMetadata* m, const std::string& link_path);
   Result<DirMetadata*> MetaOfUid(DirUid uid);
   Result<const DirMetadata*> MetaOfUid(DirUid uid) const;
 
@@ -259,8 +315,9 @@ class HacFileSystem final : public FsInterface {
   void MaybeAutoReindex();
   void NoteContentMutation();
 
-  // Shared prohibit path: removes `name`'s link record from `m` (and its symlink when
-  // `unlink_vfs`), marks the doc prohibited, journals, and notifies the engine.
+  // Shared prohibit path: removes `name`'s link record from `m` — a transient link
+  // with it, a permanent one's VFS symlink only when `unlink_vfs` — marks the doc
+  // prohibited, journals, and notifies the engine.
   Result<void> ProhibitTrackedLink(DirMetadata* m, const std::string& dir_path,
                                    const std::string& name, bool unlink_vfs);
 

@@ -6,6 +6,10 @@
 // session-local (mounts, caches, descriptor tables, journal). The load path finishes
 // with a full Reindex(), which both rebuilds the index and re-verifies scope
 // consistency against the restored link tables.
+//
+// Transient links live in the link records alone (v3 keeps each one's inode id and
+// creation tick there). A v2 image still stored them as VFS symlinks too: its loader
+// takes their ids and ticks from those symlinks and drops them from the VFS.
 #include <algorithm>
 
 #include "src/core/hac_file_system.h"
@@ -16,8 +20,10 @@ namespace hac {
 
 namespace {
 constexpr uint32_t kStateMagic = 0x48414353;  // "HACS"
-// v2 appends the index snapshot so loads need not re-tokenize every file.
-constexpr uint32_t kStateVersion = 2;
+// v2 appends the index snapshot so loads need not re-tokenize every file; v3 keeps
+// transient links out of the VFS image.
+constexpr uint32_t kStateVersion = 3;
+constexpr uint32_t kStateVersionSymlinkedTransients = 2;
 }  // namespace
 
 class HacStateCodec {
@@ -71,6 +77,10 @@ class HacStateCodec {
         w.PutString(name);
         w.PutU32(rec.doc);
         w.PutU8(static_cast<uint8_t>(rec.cls));
+        if (rec.cls == LinkClass::kTransient) {
+          w.PutU64(rec.inode);
+          w.PutU64(rec.mtime);
+        }
       }
       // Prohibited docs.
       std::vector<uint32_t> prohibited = meta.links.prohibited().ToIds();
@@ -95,9 +105,10 @@ class HacStateCodec {
       return Error(ErrorCode::kCorrupt, "bad state magic");
     }
     HAC_ASSIGN_OR_RETURN(uint32_t version, r.GetU32());
-    if (version != kStateVersion) {
+    if (version != kStateVersion && version != kStateVersionSymlinkedTransients) {
       return Error(ErrorCode::kCorrupt, "unsupported state version");
     }
+    const bool symlinked_transients = version == kStateVersionSymlinkedTransients;
 
     auto fs = std::make_unique<HacFileSystem>(options);
 
@@ -107,6 +118,8 @@ class HacStateCodec {
     HAC_RETURN_IF_ERROR(r.GetBytes(vfs_image.data(), vfs_len));
     HAC_ASSIGN_OR_RETURN(FileSystem vfs, FileSystem::LoadImage(vfs_image));
     fs->vfs_ = std::move(vfs);
+    fs->ServeTransientLinks();
+    fs->metadata_.at(fs->uid_map_.root_uid()).inode = fs->vfs_.root_id();
 
     // 2. Registry.
     HAC_ASSIGN_OR_RETURN(uint64_t n_records, r.GetVarint());
@@ -125,10 +138,14 @@ class HacStateCodec {
 
     // 3. Directories: structural pass (UID map, graph nodes, metadata shells).
     HAC_ASSIGN_OR_RETURN(uint64_t n_dirs, r.GetVarint());
+    struct SavedLink {
+      std::string name;
+      LinkRecord rec;
+    };
     struct SavedDir {
       std::string path;
       std::string query;
-      std::vector<std::tuple<std::string, DocId, uint8_t>> links;
+      std::vector<SavedLink> links;
       std::vector<DocId> prohibited;
     };
     std::vector<SavedDir> saved(n_dirs);
@@ -137,13 +154,19 @@ class HacStateCodec {
       HAC_ASSIGN_OR_RETURN(dir.query, r.GetString());
       HAC_ASSIGN_OR_RETURN(uint64_t n_links, r.GetVarint());
       for (uint64_t i = 0; i < n_links; ++i) {
-        HAC_ASSIGN_OR_RETURN(std::string name, r.GetString());
-        HAC_ASSIGN_OR_RETURN(uint32_t doc, r.GetU32());
+        SavedLink link;
+        HAC_ASSIGN_OR_RETURN(link.name, r.GetString());
+        HAC_ASSIGN_OR_RETURN(link.rec.doc, r.GetU32());
         HAC_ASSIGN_OR_RETURN(uint8_t cls, r.GetU8());
         if (cls > static_cast<uint8_t>(LinkClass::kTransient)) {
           return Error(ErrorCode::kCorrupt, "bad link class");
         }
-        dir.links.emplace_back(std::move(name), doc, cls);
+        link.rec.cls = static_cast<LinkClass>(cls);
+        if (link.rec.cls == LinkClass::kTransient && !symlinked_transients) {
+          HAC_ASSIGN_OR_RETURN(link.rec.inode, r.GetU64());
+          HAC_ASSIGN_OR_RETURN(link.rec.mtime, r.GetU64());
+        }
+        dir.links.push_back(std::move(link));
       }
       HAC_ASSIGN_OR_RETURN(uint64_t n_prohibited, r.GetVarint());
       for (uint64_t i = 0; i < n_prohibited; ++i) {
@@ -174,18 +197,29 @@ class HacStateCodec {
     fs->engine_->Suspend(false);
 
     // 5. Link tables.
-    for (const SavedDir& dir : saved) {
+    for (SavedDir& dir : saved) {
       HAC_ASSIGN_OR_RETURN(DirUid uid, fs->uid_map_.UidOf(dir.path));
       DirMetadata& meta = fs->metadata_.at(uid);
-      for (const auto& [name, doc, cls] : dir.links) {
-        if (doc == kInvalidDocId) {
-          HAC_RETURN_IF_ERROR(meta.links.AddForeignLink(name));
-        } else if (doc >= fs->registry_.TotalRecords()) {
-          return Error(ErrorCode::kCorrupt, "link to unknown doc in " + dir.path);
-        } else {
-          HAC_RETURN_IF_ERROR(
-              meta.links.AddLink(name, doc, static_cast<LinkClass>(cls)));
+      for (SavedLink& link : dir.links) {
+        LinkRecord& rec = link.rec;
+        if (rec.doc == kInvalidDocId) {
+          HAC_RETURN_IF_ERROR(meta.links.AddForeignLink(link.name));
+          continue;
         }
+        if (rec.doc >= fs->registry_.TotalRecords()) {
+          return Error(ErrorCode::kCorrupt, "link to unknown doc in " + dir.path);
+        }
+        if (rec.cls == LinkClass::kTransient && symlinked_transients) {
+          auto kept = fs->vfs_.DetachSymlink(JoinPath(dir.path == "/" ? "" : dir.path,
+                                                      link.name));
+          if (!kept.ok()) {
+            continue;  // no symlink to take over: the load-time Reindex re-derives it
+          }
+          rec.inode = kept.value().id;
+          rec.mtime = kept.value().mtime;
+        }
+        HAC_RETURN_IF_ERROR(
+            meta.links.AddLink(link.name, rec.doc, rec.cls, rec.inode, rec.mtime));
       }
       for (DocId doc : dir.prohibited) {
         if (doc >= fs->registry_.TotalRecords()) {

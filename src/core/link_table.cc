@@ -2,7 +2,8 @@
 
 namespace hac {
 
-Result<void> LinkTable::AddLink(const std::string& name, DocId doc, LinkClass cls) {
+Result<void> LinkTable::AddLink(const std::string& name, DocId doc, LinkClass cls,
+                                InodeId inode, uint64_t mtime) {
   if (links_.count(name) != 0) {
     return Error(ErrorCode::kAlreadyExists, "link " + name);
   }
@@ -13,7 +14,7 @@ Result<void> LinkTable::AddLink(const std::string& name, DocId doc, LinkClass cl
     return Error(ErrorCode::kAlreadyExists,
                  "directory already links doc " + std::to_string(doc));
   }
-  links_.emplace(name, LinkRecord{doc, cls});
+  links_.emplace(name, LinkRecord{doc, cls, inode, mtime});
   name_of_doc_.emplace(doc, name);
   (cls == LinkClass::kPermanent ? permanent_ : transient_).Set(doc);
   return OkResult();
@@ -80,12 +81,14 @@ Result<void> LinkTable::Promote(const std::string& name) {
     return OkResult();  // already permanent
   }
   rec.cls = LinkClass::kPermanent;
+  rec.inode = kInvalidInode;
+  rec.mtime = 0;
   transient_.Clear(rec.doc);
   permanent_.Set(rec.doc);
   return OkResult();
 }
 
-Result<void> LinkTable::Demote(const std::string& name) {
+Result<void> LinkTable::Demote(const std::string& name, InodeId inode, uint64_t mtime) {
   auto it = links_.find(name);
   if (it == links_.end()) {
     return Error(ErrorCode::kNotFound, "link " + name);
@@ -99,6 +102,8 @@ Result<void> LinkTable::Demote(const std::string& name) {
     return OkResult();  // already transient
   }
   rec.cls = LinkClass::kTransient;
+  rec.inode = inode;
+  rec.mtime = mtime;
   permanent_.Clear(rec.doc);
   transient_.Set(rec.doc);
   return OkResult();

@@ -7,6 +7,10 @@
 // Links to registered files are tracked by DocId so bitmap algebra applies; links whose
 // target is not a registered file ("foreign" links, e.g. to an unmounted remote path)
 // are permanent by definition and carry no DocId.
+//
+// The table is the only store of transient links: the facade serves them as symlinks
+// whose target is the doc's current path. Permanent and foreign links are also VFS
+// symlinks, which the user made; their records here only classify them.
 #ifndef HAC_CORE_LINK_TABLE_H_
 #define HAC_CORE_LINK_TABLE_H_
 
@@ -18,6 +22,7 @@
 #include "src/core/file_registry.h"
 #include "src/support/bitmap.h"
 #include "src/support/result.h"
+#include "src/vfs/types.h"
 
 namespace hac {
 
@@ -29,12 +34,18 @@ enum class LinkClass : uint8_t {
 struct LinkRecord {
   DocId doc = kInvalidDocId;  // kInvalidDocId for foreign permanent links
   LinkClass cls = LinkClass::kPermanent;
+  // Transient links only: the inode id and creation tick the VFS charged for the link
+  // (FileSystem::AddExternalLink). A permanent link's inode is its VFS symlink.
+  InodeId inode = kInvalidInode;
+  uint64_t mtime = 0;
 };
 
 class LinkTable {
  public:
   // Registers a link entry named `name` for `doc`. Fails if the name is taken.
-  Result<void> AddLink(const std::string& name, DocId doc, LinkClass cls);
+  // `inode`/`mtime` identify a transient link (see LinkRecord).
+  Result<void> AddLink(const std::string& name, DocId doc, LinkClass cls,
+                       InodeId inode = kInvalidInode, uint64_t mtime = 0);
 
   // Registers a foreign permanent link (no DocId).
   Result<void> AddForeignLink(const std::string& name);
@@ -60,6 +71,8 @@ class LinkTable {
   const Bitmap& transient() const { return transient_; }
   const Bitmap& prohibited() const { return prohibited_; }
 
+  size_t TransientCount() const { return transient_.Count(); }
+
   // Current link set: what this directory "provides" (transient | permanent docs).
   Bitmap LinkSet() const;
 
@@ -71,8 +84,9 @@ class LinkTable {
   Result<void> Promote(const std::string& name);
 
   // The inverse: hands a permanent link back to HAC as transient, so the next
-  // re-evaluation may remove it. Foreign links (no DocId) cannot be demoted.
-  Result<void> Demote(const std::string& name);
+  // re-evaluation may remove it; it keeps `inode`/`mtime` from then on. Foreign links
+  // (no DocId) cannot be demoted.
+  Result<void> Demote(const std::string& name, InodeId inode, uint64_t mtime);
 
   const std::map<std::string, LinkRecord>& links() const { return links_; }
 

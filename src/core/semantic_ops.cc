@@ -38,15 +38,12 @@ Result<void> HacFileSystem::SetQuery(const std::string& path, const std::string&
     Bitmap old_transient = meta->links.transient();
     Result<void> status = OkResult();
     old_transient.ForEach([&](DocId doc) {
-      if (!status.ok()) {
-        return;
-      }
       auto name = meta->links.NameOf(doc);
-      if (!name.ok()) {
+      if (!status.ok() || !name.ok()) {
         return;
       }
       (void)meta->links.RemoveLink(name.value());
-      (void)vfs_.Unlink(JoinPath(r.path == "/" ? "" : r.path, name.value()));
+      status = vfs_.RemoveExternalLink(meta->inode);
       counters_.transient_links_removed.Inc();
     });
     HAC_RETURN_IF_ERROR(status);
@@ -253,7 +250,7 @@ Result<void> HacFileSystem::MountSyntactic(const std::string& path, FsInterface*
   if (norm.empty()) {
     return Error(ErrorCode::kInvalidArgument, "path must be absolute: " + path);
   }
-  HAC_ASSIGN_OR_RETURN(Stat st, vfs_.LstatPath(norm));
+  HAC_ASSIGN_OR_RETURN(Stat st, LocalLstat(norm));
   if (st.type != NodeType::kDirectory) {
     return Error(ErrorCode::kNotADirectory, norm);
   }
@@ -271,7 +268,7 @@ Result<void> HacFileSystem::MountSemantic(const std::string& path, NameSpace* sp
   if (norm.empty()) {
     return Error(ErrorCode::kInvalidArgument, "path must be absolute: " + path);
   }
-  HAC_ASSIGN_OR_RETURN(Stat st, vfs_.LstatPath(norm));
+  HAC_ASSIGN_OR_RETURN(Stat st, LocalLstat(norm));
   if (st.type != NodeType::kDirectory) {
     return Error(ErrorCode::kNotADirectory, norm);
   }
@@ -341,7 +338,7 @@ Result<void> HacFileSystem::PromoteLink(const std::string& link_path) {
     return Error(ErrorCode::kUnsupported, "link classes live in the local name space");
   }
   HAC_ASSIGN_OR_RETURN(DirMetadata * meta, MetaOfPath(DirName(r.path)));
-  HAC_RETURN_IF_ERROR(meta->links.Promote(BaseName(r.path)));
+  HAC_RETURN_IF_ERROR(PromoteTracked(meta, r.path));
   journal_.Append(JournalOp::kLinkPromoted, meta->uid, r.path);
   // Promotion changes classification, not membership: no propagation needed.
   return OkResult();
@@ -359,7 +356,7 @@ Result<void> HacFileSystem::DemoteLink(const std::string& link_path) {
     return Error(ErrorCode::kNotFound, "link " + name);
   }
   DocId doc = rec->doc;
-  HAC_RETURN_IF_ERROR(meta->links.Demote(name));
+  HAC_RETURN_IF_ERROR(DemoteTracked(meta, r.path));
   journal_.Append(JournalOp::kLinkDemoted, meta->uid, r.path);
   // Unlike promotion, demotion can change membership: the link is HAC's again and the
   // re-evaluation removes it unless the query still selects it.

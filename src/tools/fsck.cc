@@ -33,7 +33,7 @@ class Fsck {
     while (!stack.empty()) {
       std::string dir = std::move(stack.back());
       stack.pop_back();
-      auto entries = fs_.vfs().ReadDir(dir);  // bypass mounts: audit the local system
+      auto entries = fs_.ReadLocalDir(dir);  // bypass mounts: audit the local system
       if (!entries.ok()) {
         continue;
       }
@@ -106,22 +106,26 @@ class Fsck {
         continue;
       }
       std::unordered_set<std::string> tracked;
+      // Every permanent link exists in the VFS as a symlink.
       for (const auto& [name, target] : classes.value().permanent) {
         tracked.insert(name);
-      }
-      for (const auto& [name, target] : classes.value().transient) {
-        tracked.insert(name);
-      }
-      // Every tracked link exists in the VFS as a symlink.
-      for (const std::string& name : tracked) {
         std::string link_path = JoinPath(dir == "/" ? "" : dir, name);
         auto st = fs_.vfs().LstatPath(link_path);
         if (!st.ok() || st.value().type != NodeType::kSymlink) {
           Finding("C3: tracked link missing from the VFS: " + link_path);
         }
       }
-      // Every VFS symlink in the directory is tracked.
-      auto entries = fs_.vfs().ReadDir(dir);
+      // Transient links live in the link table alone; a stored entry of the same name
+      // would hide one.
+      for (const auto& [name, target] : classes.value().transient) {
+        tracked.insert(name);
+        std::string link_path = JoinPath(dir == "/" ? "" : dir, name);
+        if (fs_.vfs().LstatPath(link_path).ok()) {
+          Finding("C3: VFS entry shadows transient link: " + link_path);
+        }
+      }
+      // Every symlink the directory serves is tracked.
+      auto entries = fs_.ReadLocalDir(dir);
       if (entries.ok()) {
         for (const DirEntry& e : entries.value()) {
           if (e.type == NodeType::kSymlink && tracked.count(e.name) == 0) {
@@ -311,7 +315,7 @@ uint64_t StateDigest(HacFileSystem& fs) {
     }
     // std::map-backed directories make ReadDir order deterministic; children in
     // reverse so the stack pops them name-ascending.
-    auto entries = fs.vfs().ReadDir(dir);
+    auto entries = fs.ReadLocalDir(dir);
     if (!entries.ok()) {
       continue;
     }
@@ -332,7 +336,7 @@ uint64_t StateDigest(HacFileSystem& fs) {
         case NodeType::kSymlink: {
           Mix(h, "link");
           Mix(h, child);
-          auto target = fs.vfs().ReadLink(child);
+          auto target = fs.ReadLocalLink(child);
           Mix(h, target.ok() ? target.value() : "");
           break;
         }

@@ -7,8 +7,9 @@
 //   C1  every directory is registered in the UID map and the dependency graph, and the
 //       UID map's path resolves back to that directory;
 //   C2  the dependency graph edges equal {parent} ∪ referenced dirs for every directory;
-//   C3  every VFS symlink tracked by a link table exists, and vice versa (no orphaned
-//       table entries, no untracked HAC-created links);
+//   C3  every permanent link a link table tracks exists as a VFS symlink, no VFS entry
+//       shadows a transient link's name, and every symlink the directory serves is
+//       tracked (no orphaned table entries, no untracked links);
 //   C4  for every semantic directory: transient == Eval(query, scope(parent))
 //       − direct-children − permanent − prohibited;
 //   C5  transient ⊆ scope(parent); prohibited ∩ (transient ∪ permanent) = ∅;
@@ -42,11 +43,11 @@ struct FsckReport {
 
 FsckReport RunFsck(HacFileSystem& fs, const FsckOptions& options = {});
 
-// FNV-1a digest of the complete observable state: a deterministic depth-first walk
-// mixing every path, node type, file content, symlink target, directory query and
-// link-class table (names and targets, not internal ids — two instances that answer
-// every client call identically digest identically, whatever order they were built
-// in). The durability tests compare a recovered instance against a clean replay with
+// FNV-1a digest of the complete observable state: a deterministic depth-first walk of
+// the local name space as the facade serves it (HacFileSystem::ReadLocalDir) mixing
+// every path, node type, file content, symlink target, directory query and link-class
+// table (names and targets, not internal ids — two instances that answer every client
+// call identically digest identically, whatever order they were built in). The durability tests compare a recovered instance against a clean replay with
 // this; `hacctl fsck --data-dir` prints it so operators can diff two data dirs.
 uint64_t StateDigest(HacFileSystem& fs);
 

@@ -58,38 +58,56 @@ Result<FileSystem::Resolved> FileSystem::Resolve(const std::string& path, bool f
   ++stats_.lookups;
   std::vector<std::string> comps = SplitPath(norm);
   if (comps.empty()) {
-    return Resolved{root_, root_, ""};
+    return Resolved{root_, root_, "", std::move(norm)};
   }
+  // The walk restarts at every symlink, so the components before `i` always name real
+  // directories: the path of the directory at step i is their join.
+  auto dir_path = [&comps](size_t i) {
+    std::string out;
+    for (size_t j = 0; j < i; ++j) {
+      out += '/';
+      out += comps[j];
+    }
+    return out.empty() ? std::string("/") : out;
+  };
   InodeId cur = root_;
   for (size_t i = 0; i < comps.size(); ++i) {
     const bool last = (i + 1 == comps.size());
+    const bool follow = !last || follow_final;
     const Inode& dir = Node(cur);
     if (dir.type != NodeType::kDirectory) {
       return Error(ErrorCode::kNotADirectory, norm);
     }
+    const std::string* target = nullptr;
+    InodeId child = kInvalidInode;
     auto it = dir.entries.find(comps[i]);
-    if (it == dir.entries.end()) {
-      if (last) {
-        return Resolved{cur, kInvalidInode, comps[i]};
+    if (it != dir.entries.end()) {
+      child = it->second;
+      const Inode& child_node = Node(child);
+      if (child_node.type == NodeType::kSymlink && follow) {
+        target = &child_node.symlink_target;
       }
-      return Error(ErrorCode::kNotFound, norm);
+    } else if (follow && external_links_) {
+      target = external_links_(dir_path(i), comps[i]);
     }
-    InodeId child = it->second;
-    const Inode& child_node = Node(child);
-    if (child_node.type == NodeType::kSymlink && (!last || follow_final)) {
+    if (target != nullptr) {
       // Splice the link target plus the unconsumed suffix and restart.
-      HAC_ASSIGN_OR_RETURN(std::string base, PathOf(cur));
-      std::string target = child_node.symlink_target;
-      std::string full = (!target.empty() && target[0] == '/')
-                             ? target
-                             : JoinPath(base == "/" ? "" : base, target);
+      std::string full = (!target->empty() && (*target)[0] == '/')
+                             ? *target
+                             : JoinPath(i == 0 ? "" : dir_path(i), *target);
       for (size_t j = i + 1; j < comps.size(); ++j) {
         full = JoinPath(full, comps[j]);
       }
       return Resolve(full, follow_final, depth + 1);
     }
+    if (child == kInvalidInode) {
+      if (last) {
+        return Resolved{cur, kInvalidInode, comps[i], std::move(norm)};
+      }
+      return Error(ErrorCode::kNotFound, norm);
+    }
     if (last) {
-      return Resolved{cur, child, comps[i]};
+      return Resolved{cur, child, comps[i], std::move(norm)};
     }
     cur = child;
   }
@@ -102,6 +120,11 @@ Result<InodeId> FileSystem::Lookup(const std::string& path, bool follow_final) {
     return Error(ErrorCode::kNotFound, path);
   }
   return r.node;
+}
+
+Result<FileSystem::Location> FileSystem::Locate(const std::string& path, bool follow_final) {
+  HAC_ASSIGN_OR_RETURN(Resolved r, Resolve(path, follow_final));
+  return Location{std::move(r.path), r.node};
 }
 
 Result<std::string> FileSystem::PathOf(InodeId id) const {
@@ -213,38 +236,6 @@ Result<std::vector<DirEntry>> FileSystem::ReadDir(const std::string& path) {
   out.reserve(node.entries.size());
   for (const auto& [name, child] : node.entries) {
     out.push_back(DirEntry{name, Node(child).type, child});
-  }
-  ++stats_.readdirs;
-  return out;
-}
-
-Result<std::vector<DirEntry>> FileSystem::ReadDirPage(const std::string& path,
-                                                      const std::string& after_name,
-                                                      size_t max_entries,
-                                                      size_t max_bytes,
-                                                      bool* has_more) {
-  HAC_ASSIGN_OR_RETURN(Resolved r, Resolve(path, /*follow_final=*/true));
-  if (r.node == kInvalidInode) {
-    return Error(ErrorCode::kNotFound, path);
-  }
-  const Inode& node = Node(r.node);
-  if (node.type != NodeType::kDirectory) {
-    return Error(ErrorCode::kNotADirectory, path);
-  }
-  std::vector<DirEntry> out;
-  size_t bytes = 0;
-  auto it = after_name.empty() ? node.entries.begin()
-                               : node.entries.upper_bound(after_name);
-  for (; it != node.entries.end(); ++it) {
-    if (out.size() >= max_entries ||
-        (max_bytes != 0 && !out.empty() && bytes + it->first.size() > max_bytes)) {
-      break;
-    }
-    out.push_back(DirEntry{it->first, Node(it->second).type, it->second});
-    bytes += it->first.size();
-  }
-  if (has_more != nullptr) {
-    *has_more = it != node.entries.end();
   }
   ++stats_.readdirs;
   return out;
@@ -455,6 +446,64 @@ Result<Stat> FileSystem::LstatPath(const std::string& path) {
   }
   ++stats_.stats;
   return StatOf(Node(r.node));
+}
+
+Result<FileSystem::ExternalLink> FileSystem::AddExternalLink(InodeId dir) {
+  auto it = inodes_.find(dir);
+  if (it == inodes_.end() || it->second.type != NodeType::kDirectory) {
+    return Error(ErrorCode::kNotADirectory, "inode " + std::to_string(dir));
+  }
+  // The same charges as Symlink: NewInode's id and mtime, then the parent's Touch.
+  ExternalLink link{next_id_++, clock_.Now()};
+  Touch(it->second);
+  return link;
+}
+
+Result<void> FileSystem::RemoveExternalLink(InodeId dir) {
+  auto it = inodes_.find(dir);
+  if (it == inodes_.end() || it->second.type != NodeType::kDirectory) {
+    return Error(ErrorCode::kNotADirectory, "inode " + std::to_string(dir));
+  }
+  Touch(it->second);  // as Unlink touches the parent
+  return OkResult();
+}
+
+Result<FileSystem::ExternalLink> FileSystem::DetachSymlink(const std::string& path) {
+  HAC_ASSIGN_OR_RETURN(Resolved r, Resolve(path, /*follow_final=*/false));
+  if (r.node == kInvalidInode) {
+    return Error(ErrorCode::kNotFound, path);
+  }
+  const Inode& node = Node(r.node);
+  if (node.type != NodeType::kSymlink) {
+    return Error(ErrorCode::kInvalidArgument, path + " is not a symlink");
+  }
+  ExternalLink link{node.id, node.mtime};
+  Node(r.parent).entries.erase(r.leaf);
+  DropOrReapInode(r.node);
+  return link;
+}
+
+Result<void> FileSystem::AttachSymlink(const std::string& path, const ExternalLink& link,
+                                       const std::string& target) {
+  HAC_ASSIGN_OR_RETURN(Resolved r, Resolve(path, /*follow_final=*/false));
+  if (r.node != kInvalidInode) {
+    return Error(ErrorCode::kAlreadyExists, path);
+  }
+  if (!IsValidEntryName(r.leaf)) {
+    return Error(ErrorCode::kInvalidArgument, "bad name: " + r.leaf);
+  }
+  if (link.id == kInvalidInode || link.id >= next_id_ || inodes_.count(link.id) != 0) {
+    return Error(ErrorCode::kInvalidArgument, "inode " + std::to_string(link.id) + " in use");
+  }
+  Inode node;
+  node.id = link.id;
+  node.type = NodeType::kSymlink;
+  node.mtime = link.mtime;
+  node.symlink_target = target;
+  node.parent = r.parent;
+  inodes_.emplace(link.id, std::move(node));
+  Node(r.parent).entries.emplace(r.leaf, link.id);
+  return OkResult();
 }
 
 uint64_t FileSystem::TotalDataBytes() const {

@@ -6,11 +6,13 @@
 //   * absolute paths, lexical "." / ".." handling, symlink resolution with loop limit
 //   * mkdir/rmdir/readdir, create/open/read/write/seek/close, unlink, rename (files and
 //     directories, including subtree moves; moving a directory into itself is rejected)
-//   * symlinks (dangling allowed; followed by StatPath and by intermediate components)
+//   * symlinks (dangling allowed; followed by StatPath and by intermediate components),
+//     including links a layer above keeps outside the inode table (external links)
 //   * virtual mtime from a VirtualClock advanced on every mutation
 #ifndef HAC_VFS_FILE_SYSTEM_H_
 #define HAC_VFS_FILE_SYSTEM_H_
 
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -33,17 +35,6 @@ class FileSystem final : public FsInterface {
   Result<void> Mkdir(const std::string& path) override;
   Result<void> Rmdir(const std::string& path) override;
   Result<std::vector<DirEntry>> ReadDir(const std::string& path) override;
-  // Paged enumeration: up to `max_entries` entries with names strictly after
-  // `after_name` ("" starts at the beginning), stopping early once the summed
-  // name bytes exceed `max_bytes` (0 = unbounded; at least one entry is always
-  // returned). Entries come back in the same sorted-name order as ReadDir —
-  // upper_bound over the directory's ordered entry map, so producing page one of
-  // a 100k-entry directory touches max_entries nodes, not all of them.
-  // `*has_more` reports whether entries remain past the page.
-  Result<std::vector<DirEntry>> ReadDirPage(const std::string& path,
-                                            const std::string& after_name,
-                                            size_t max_entries, size_t max_bytes,
-                                            bool* has_more);
   Result<Fd> Open(const std::string& path, uint32_t flags) override;
   Result<void> Close(Fd fd) override;
   Result<size_t> Read(Fd fd, void* buf, size_t n) override;
@@ -63,6 +54,15 @@ class FileSystem final : public FsInterface {
 
   // Resolves `path` to an inode id; follows symlinks iff `follow_final`.
   Result<InodeId> Lookup(const std::string& path, bool follow_final = true);
+
+  // Where `path` leads: its real path (every symlink before the final component
+  // followed, the final one iff `follow_final`) and the inode there, or kInvalidInode
+  // when the final component does not exist. One walk, like Lookup.
+  struct Location {
+    std::string path;
+    InodeId node = kInvalidInode;
+  };
+  Result<Location> Locate(const std::string& path, bool follow_final);
 
   // Absolute path of `id` (directories only resolve uniquely; files resolve through their
   // containing directory). Returns kNotFound for unreferenced inodes.
@@ -87,6 +87,38 @@ class FileSystem final : public FsInterface {
   // Approximate metadata footprint: inode table + directory entries (no file data).
   uint64_t MetadataBytes() const;
 
+  // --- links kept outside the inode table ---
+  //
+  // A layer above may serve symlinks of its own in a directory without storing them
+  // here (HAC serves its transient links from its link table). Resolve asks
+  // `resolver` for the target of any name a directory does not hold, so a path walks
+  // through such a link exactly as through a stored symlink; ReadDir, LstatPath and
+  // ReadLink see only stored entries. The resolver gets the directory's real path, runs
+  // on concurrent readers and must not mutate anything.
+  using ExternalLinkResolver =
+      std::function<const std::string*(const std::string& dir_path, const std::string& name)>;
+  void SetExternalLinkResolver(ExternalLinkResolver resolver) {
+    external_links_ = std::move(resolver);
+  }
+
+  // External links spend what stored symlinks spend, so inode numbers, mtimes and the
+  // clock do not depend on where a link is kept. AddExternalLink takes one inode id
+  // and one tick, which becomes directory `dir`'s mtime, and returns the id and the
+  // link's creation time (a new inode's mtime); RemoveExternalLink takes one tick.
+  struct ExternalLink {
+    InodeId id = kInvalidInode;
+    uint64_t mtime = 0;
+  };
+  Result<ExternalLink> AddExternalLink(InodeId dir);
+  Result<void> RemoveExternalLink(InodeId dir);
+
+  // Hands a symlink between this table and an outside keeper under the same inode id
+  // and mtime, spending no tick: DetachSymlink removes the stored symlink at `path`,
+  // AttachSymlink stores `link` there.
+  Result<ExternalLink> DetachSymlink(const std::string& path);
+  Result<void> AttachSymlink(const std::string& path, const ExternalLink& link,
+                             const std::string& target);
+
   // Snapshot persistence (see persistence.cc).
   std::vector<uint8_t> SaveImage() const;
   static Result<FileSystem> LoadImage(const std::vector<uint8_t>& image);
@@ -98,11 +130,13 @@ class FileSystem final : public FsInterface {
     InodeId parent;        // containing directory
     InodeId node;          // kInvalidInode if the final component does not exist
     std::string leaf;      // final component name
+    std::string path;      // real path: every followed symlink spliced in
   };
 
   // Walks `path`; intermediate symlinks always followed, final component followed iff
   // `follow_final`. Missing final component is not an error (node == kInvalidInode);
-  // missing intermediate components are.
+  // missing intermediate components are. Names a directory does not hold are looked
+  // up among the external links.
   Result<Resolved> Resolve(const std::string& path, bool follow_final, int depth = 0);
 
   Inode& Node(InodeId id) { return inodes_.at(id); }
@@ -123,6 +157,7 @@ class FileSystem final : public FsInterface {
   FdTable fds_;
   FsStats stats_;
   VirtualClock clock_;
+  ExternalLinkResolver external_links_;
 };
 
 }  // namespace hac

@@ -148,7 +148,7 @@ TEST_P(BaselineLayerTest, RandomizedEquivalenceWithRawVfs) {
       }
       case 4: {
         if (!files.empty()) {
-          const std::string& f = rng.Pick(files);
+          const std::string f = rng.Pick(files);  // a copy: push_back below reallocates
           std::string to = f + "_r";
           auto r1 = layered.fs->Rename(f, to);
           auto r2 = raw.fs->Rename(f, to);

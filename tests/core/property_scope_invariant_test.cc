@@ -8,6 +8,7 @@
 //   (2) transient(sd) ⊆ scope(p)
 //   (3) prohibited docs never appear as links; permanent links never vanish
 //   (4) every VFS entry in sd agrees with the link table's classification
+//   (5) hacfsck's full audit comes back clean
 //
 // The driver applies random operations (file create/write/delete, link delete, symlink
 // add, query change, directory create, ssync) and checks the invariants after each
@@ -17,6 +18,7 @@
 
 #include "src/core/hac_file_system.h"
 #include "src/support/rng.h"
+#include "src/tools/fsck.h"
 #include "src/vfs/path.h"
 
 namespace hac {
@@ -75,6 +77,8 @@ class ScopeInvariantTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   void CheckInvariants(HacFileSystem& fs) {
+    FsckReport report = RunFsck(fs);
+    EXPECT_TRUE(report.Clean()) << report.ToString();
     for (const std::string& dir : AllDirs(fs)) {
       std::string query_text = fs.GetQuery(dir).value_or("(err)");
       ASSERT_NE(query_text, "(err)") << dir;

@@ -163,6 +163,11 @@ TEST(ServiceStressTest, MixedThreadsConvergeToSerialReplay) {
           (void)client.ReadDir("/all");
           (void)client.Search(query);
           (void)client.StatPath("/corpus/seed0.txt");
+          // Transient links are served from the link tables: stat, lstat and
+          // readlink walk them while the writer edits them.
+          (void)client.StatPath("/all/seed0.txt");
+          (void)client.LstatPath("/all/seed1.txt");
+          (void)client.ReadLink("/all/seed1.txt");
           (void)client.GetLinkClasses("/all");
           (void)client.Stats();
         }

@@ -71,11 +71,33 @@ TEST(FsckTest, DetectsMissingTrackedLink) {
   ASSERT_TRUE(fs.WriteFile("/docs/a.txt", "fingerprint").ok());
   ASSERT_TRUE(fs.Reindex().ok());
   ASSERT_TRUE(fs.SMkdir("/fp", "fingerprint").ok());
-  // Remove the symlink behind HAC's back.
+  // Permanent links are VFS symlinks; remove one behind HAC's back.
+  ASSERT_TRUE(fs.PromoteLink("/fp/a.txt").ok());
   ASSERT_TRUE(fs.vfs().Unlink("/fp/a.txt").ok());
   FsckReport report = RunFsck(fs);
   ASSERT_FALSE(report.Clean());
   EXPECT_NE(report.ToString().find("tracked link missing"), std::string::npos);
+}
+
+TEST(FsckTest, DetectsVfsEntryShadowingTransientLink) {
+  HacFileSystem fs;
+  ASSERT_TRUE(fs.Mkdir("/docs").ok());
+  ASSERT_TRUE(fs.WriteFile("/docs/a.txt", "fingerprint").ok());
+  ASSERT_TRUE(fs.Reindex().ok());
+  ASSERT_TRUE(fs.SMkdir("/fp", "fingerprint").ok());
+  ASSERT_TRUE(RunFsck(fs).Clean());
+  // Transient links live in the link table only; plant a stored entry of the same
+  // name directly in the VFS. It wins every lookup, so fsck must flag it.
+  ASSERT_TRUE(fs.vfs().Symlink("/elsewhere", "/fp/a.txt").ok());
+  EXPECT_EQ(fs.ReadLink("/fp/a.txt").value(), "/elsewhere");
+  auto entries = fs.ReadDir("/fp").value();
+  ASSERT_EQ(entries.size(), 1u);  // listed once, as the stored entry
+  EXPECT_EQ(entries[0].inode, fs.vfs().LstatPath("/fp/a.txt").value().inode);
+  FsckReport report = RunFsck(fs, FsckOptions{/*check_scope=*/false});
+  ASSERT_FALSE(report.Clean());
+  EXPECT_NE(report.ToString().find("C3: VFS entry shadows transient link: /fp/a.txt"),
+            std::string::npos)
+      << report.ToString();
 }
 
 TEST(FsckTest, DetectsStaleTransientSetWithoutReindex) {
