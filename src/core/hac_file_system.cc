@@ -159,6 +159,8 @@ std::vector<DirEntry> HacFileSystem::MergedEntries(const DirMetadata& dir,
   auto s = after.empty() ? stored.begin() : stored.upper_bound(after);
   auto l = after.empty() ? links.begin() : links.upper_bound(after);
   std::vector<DirEntry> out;
+  // Sized once: every stored entry and transient link, capped by the page.
+  out.reserve(std::min(max_entries, stored.size() + dir.links.TransientCount()));
   size_t bytes = 0;
   bool more = false;
   for (;;) {
@@ -656,6 +658,17 @@ Result<void> HacFileSystem::Rename(const std::string& from, const std::string& t
     // The replaced target (if any) disappears.
     auto old_target = vfs_.LstatPath(dst.path);
     HAC_RETURN_IF_ERROR(vfs_.Rename(src.path, dst.path));
+    if (old_target.ok() && old_target.value().type == NodeType::kSymlink) {
+      // Replacing a permanent link deletes it, as Unlink of it would: the VFS
+      // symlink is already gone, so drop its record and prohibit its doc there.
+      const std::string dst_parent = DirName(dst.path);
+      const std::string dst_name = BaseName(dst.path);
+      auto meta = MetaOfPath(dst_parent);
+      if (meta.ok() && meta.value()->links.Find(dst_name) != nullptr) {
+        HAC_RETURN_IF_ERROR(ProhibitTrackedLink(meta.value(), dst_parent, dst_name,
+                                                /*unlink_vfs=*/false));
+      }
+    }
     if (old_target.ok() && old_target.value().type == NodeType::kFile) {
       if (auto doc = registry_.FindByInode(old_target.value().inode); doc.ok()) {
         (void)registry_.Deactivate(doc.value());

@@ -166,6 +166,7 @@ Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
   QueryExprPtr optimized = OptimizeQuery(std::move(ast), index_.get());
   HAC_ASSIGN_OR_RETURN(Bitmap result, index_->Evaluate(*optimized, scope, &resolver));
   std::vector<std::string> paths;
+  paths.reserve(result.Count());
   result.ForEach([&](DocId doc) {
     const FileRecord* rec = registry_.Get(doc);
     if (rec != nullptr && rec->alive) {
@@ -309,6 +310,11 @@ Result<LinkClassView> HacFileSystem::GetLinkClasses(const std::string& dir_path)
   HAC_RETURN_IF_ERROR(engine_->Flush());
   HAC_ASSIGN_OR_RETURN(DirMetadata * meta, MetaOfPath(r.path));
   LinkClassView view;
+  const size_t transient = meta->links.TransientCount();
+  const size_t total = meta->links.links().size();
+  view.transient.reserve(transient);
+  view.permanent.reserve(total > transient ? total - transient : 0);
+  view.prohibited.reserve(meta->links.prohibited().Count());
   for (const auto& [name, rec] : meta->links.links()) {
     std::string target;
     if (rec.doc != kInvalidDocId) {
@@ -316,12 +322,12 @@ Result<LinkClassView> HacFileSystem::GetLinkClasses(const std::string& dir_path)
       target = file != nullptr ? file->path : "";
     } else {
       auto t = vfs_.ReadLink(JoinPath(r.path == "/" ? "" : r.path, name));
-      target = t.ok() ? t.value() : "";
+      target = t.ok() ? std::move(t).value() : "";
     }
     if (rec.cls == LinkClass::kPermanent) {
-      view.permanent.emplace_back(name, target);
+      view.permanent.emplace_back(name, std::move(target));
     } else {
-      view.transient.emplace_back(name, target);
+      view.transient.emplace_back(name, std::move(target));
     }
   }
   meta->links.prohibited().ForEach([&](DocId doc) {

@@ -38,6 +38,11 @@ ReactorMetrics& RM() {
 // simply takes another writable wake.
 constexpr int kMaxIov = 64;
 
+// Bytes each recv may land straight in a connection's FrameDecoder. Requests are
+// small, so this bounds a connection's receive buffer without costing pipelined
+// clients extra syscalls.
+constexpr size_t kRecvChunk = 16 * 1024;
+
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) {
@@ -240,13 +245,12 @@ void EpollReactor::HandleReadable(Conn* c) {
   if (c->fatal || c->peer_eof || c->reading_paused) {
     return;
   }
-  uint8_t buf[64 * 1024];
   bool eof = false;
   for (;;) {
-    ssize_t r = ::recv(c->fd, buf, sizeof(buf), 0);
+    ssize_t r = ::recv(c->fd, c->decoder.Reserve(kRecvChunk), kRecvChunk, 0);
     if (r > 0) {
       shared_.counters->bytes_in.Inc(static_cast<uint64_t>(r));
-      c->decoder.Feed(buf, static_cast<size_t>(r));
+      c->decoder.Commit(static_cast<size_t>(r));
       continue;  // level-triggered: read until EAGAIN so one wake drains the socket
     }
     if (r == 0) {
@@ -265,10 +269,11 @@ void EpollReactor::HandleReadable(Conn* c) {
 
   // Decode EVERY complete frame buffered by this wake and submit each immediately:
   // this is what lets pipelined requests from one connection batch in the service's
-  // group commit instead of serializing on the socket round-trip.
+  // group commit instead of serializing on the socket round-trip. Each request is
+  // decoded from the receive buffer in place.
   uint64_t frames_this_wake = 0;
   for (;;) {
-    auto next = c->decoder.Next();
+    auto next = c->decoder.NextView();
     if (!next.ok()) {
       WireError(c, next.error());
       break;
@@ -276,17 +281,15 @@ void EpollReactor::HandleReadable(Conn* c) {
     if (!next.value().has_value()) {
       break;
     }
-    FrameDecoder::Frame frame = std::move(*next.value());
+    const FrameDecoder::FrameView frame = *next.value();
     shared_.counters->frames_in.Inc();
     ++frames_this_wake;
     c->last_frame = std::chrono::steady_clock::now();
     if (frame.kind != FrameKind::kRequest) {
-      RecycleBuffer(std::move(frame.payload));
       WireError(c, Error(ErrorCode::kCorrupt, "response frame sent to server"));
       break;
     }
-    auto req = DecodeRequestPayload(frame.payload);
-    RecycleBuffer(std::move(frame.payload));
+    auto req = DecodeRequestPayload(frame.data, frame.size);
     if (!req.ok()) {
       WireError(c, req.error());
       break;
@@ -295,8 +298,7 @@ void EpollReactor::HandleReadable(Conn* c) {
       ServerResponse resp;
       resp.error =
           Error(ErrorCode::kInvalidArgument, "session lifecycle is connection-bound");
-      uint64_t seq = c->next_seq++;
-      c->reorder.emplace(seq, std::move(resp));
+      c->reorder.emplace(c->next_seq++, EncodeResponseFrame(resp));
       continue;
     }
     uint64_t seq = c->next_seq++;
@@ -322,7 +324,7 @@ void EpollReactor::WireError(Conn* c, const Error& err) {
   // resynchronize after header damage).
   ServerResponse resp;
   resp.error = err;
-  c->reorder.emplace(c->next_seq++, std::move(resp));
+  c->reorder.emplace(c->next_seq++, EncodeResponseFrame(resp));
   c->fatal = true;
   if (!c->reading_paused) {
     c->reading_paused = true;  // never re-armed: fatal conns close once drained
@@ -331,16 +333,21 @@ void EpollReactor::WireError(Conn* c, const Error& err) {
 }
 
 void EpollReactor::PostCompletion(Conn* c, uint64_t seq, ServerResponse resp) {
+  // The response is encoded, and freed, on the thread that completed it (a reader,
+  // the writer, or the reactor itself for an inline rejection): the reactor thread
+  // only orders frames and writes them. `resp` is freed on return, after the wake,
+  // so freeing a large response overlaps its send.
+  std::vector<uint8_t> frame = EncodeResponseFrame(resp);
   // posters_ keeps the reactor thread (and therefore ~EpollReactor) from
   // finishing while this service-worker call is still on the stack: the
-  // completion below hands the *response* off, but this function keeps touching
+  // completion below hands the frame off, but this function keeps touching
   // reactor state (the wake eventfd) after the reactor may have consumed it.
   // Incremented before the push, so whenever the reactor has drained everything
   // and sees posters_ == 0, every poster has fully returned.
   posters_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> lk(comp_mu_);
-    completions_.push_back(Completion{c, seq, std::move(resp)});
+    completions_.push_back(Completion{c, seq, std::move(frame)});
   }
   Wake();
   posters_.fetch_sub(1, std::memory_order_acq_rel);
@@ -359,7 +366,7 @@ void EpollReactor::DrainCompletions() {
   for (auto& comp : batch) {
     Conn* c = comp.conn;
     --c->inflight;
-    c->reorder.emplace(comp.seq, std::move(comp.resp));
+    c->reorder.emplace(comp.seq, std::move(comp.frame));
     if (touched.empty() || touched.back() != c) {
       touched.push_back(c);
     }
@@ -373,10 +380,11 @@ void EpollReactor::DrainCompletions() {
 void EpollReactor::PumpResponses(Conn* c) {
   while (!c->reorder.empty() && c->reorder.begin()->first == c->next_send) {
     auto it = c->reorder.begin();
-    if (!c->write_dead) {
-      std::vector<uint8_t> frame = EncodeResponseFrame(it->second);
-      c->out_bytes += frame.size();
-      c->outq.push_back(std::move(frame));
+    if (c->write_dead) {
+      RecycleBuffer(std::move(it->second));
+    } else {
+      c->out_bytes += it->second.size();
+      c->outq.push_back(std::move(it->second));
     }
     c->reorder.erase(it);
     ++c->next_send;

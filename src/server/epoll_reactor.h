@@ -3,11 +3,14 @@
 //
 // A reactor multiplexes its whole shard over nonblocking sockets:
 //
-//   * Pipelining — every complete frame available at a recv wake is decoded and
-//     submitted to HacService::SubmitCallback immediately; responses complete on
-//     worker threads, are handed back through the reactor's completion queue
-//     (eventfd wake), and a per-connection sequence-number reorder buffer restores
-//     strict request order before anything hits the socket.
+//   * Pipelining — every complete frame available at a recv wake is decoded in
+//     place from the connection's receive buffer and submitted to
+//     HacService::SubmitCallback immediately; responses complete on worker threads,
+//     are encoded into frames there, are handed back through the reactor's
+//     completion queue (eventfd wake), and a per-connection sequence-number reorder
+//     buffer of frames restores strict request order before anything hits the
+//     socket. The reactor thread encodes only what it completes itself: inline
+//     rejections and its own pseudo-responses (wire errors, CloseSession refusals).
 //   * Vectored write coalescing — all response frames pending on a connection are
 //     sent with one sendmsg(iovec) per writable wake, so a group-commit batch that
 //     completes N pipelined writes together costs one syscall, not N
@@ -102,7 +105,7 @@ class EpollReactor {
     // the socket only in seq order.
     uint64_t next_seq = 0;   // next request sequence number to assign
     uint64_t next_send = 0;  // sequence number the socket is waiting for
-    std::map<uint64_t, ServerResponse> reorder;
+    std::map<uint64_t, std::vector<uint8_t>> reorder;  // encoded response frames
     size_t inflight = 0;  // submitted to the service, completion not yet drained
     // Write side: encoded frames pending on the socket.
     std::deque<std::vector<uint8_t>> outq;
@@ -119,7 +122,7 @@ class EpollReactor {
   struct Completion {
     Conn* conn = nullptr;
     uint64_t seq = 0;
-    ServerResponse resp;
+    std::vector<uint8_t> frame;  // the encoded response
   };
 
   void Run();
@@ -131,7 +134,7 @@ class EpollReactor {
   void HandleEvent(Conn* c, uint32_t events);
   // Queues the decode error as the connection's final, order-preserving response.
   void WireError(Conn* c, const Error& err);
-  // Called from service worker threads (or inline): enqueue + wake.
+  // Called from service worker threads (or inline): encode, enqueue the frame, wake.
   void PostCompletion(Conn* c, uint64_t seq, ServerResponse resp);
   // Moves in-order responses from the reorder buffer into the write queue.
   void PumpResponses(Conn* c);

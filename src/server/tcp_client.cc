@@ -12,6 +12,14 @@
 
 namespace hac {
 
+namespace {
+
+// Bytes each recv may land straight in the FrameDecoder; a larger response takes
+// several receives into the same buffer.
+constexpr size_t kRecvChunk = 64 * 1024;
+
+}  // namespace
+
 RemoteServiceClient::~RemoteServiceClient() { Disconnect(); }
 
 Result<void> RemoteServiceClient::Connect(const std::string& host, uint16_t port) {
@@ -100,27 +108,26 @@ ServerResponse RemoteServiceClient::Transport(ServerRequest req) {
   }
   RecycleBuffer(std::move(frame));
 
-  uint8_t buf[64 * 1024];
   for (;;) {
-    auto next = decoder_.Next();
+    auto next = decoder_.NextView();
     if (!next.ok()) {
       // kCorrupt (damaged bytes) or kUnsupported (version skew) from the decoder.
       return TransportFailure(next.error().code, next.error().message, true);
     }
     if (next.value().has_value()) {
-      FrameDecoder::Frame f = std::move(*next.value());
+      const FrameDecoder::FrameView f = *next.value();
       if (f.kind != FrameKind::kResponse) {
         return TransportFailure(ErrorCode::kCorrupt, "request frame sent to client",
                                 true);
       }
-      auto resp = DecodeResponsePayload(f.payload);
-      RecycleBuffer(std::move(f.payload));
+      // Decoded straight from the receive buffer: the payload is never copied.
+      auto resp = DecodeResponsePayload(f.data, f.size);
       if (!resp.ok()) {
         return TransportFailure(resp.error().code, resp.error().message, true);
       }
       return std::move(resp).value();
     }
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    ssize_t n = ::recv(fd_, decoder_.Reserve(kRecvChunk), kRecvChunk, 0);
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
         receive_timeout_.count() > 0) {
       // SO_RCVTIMEO fired: the server accepted the request and went silent. The
@@ -132,7 +139,7 @@ ServerResponse RemoteServiceClient::Transport(ServerRequest req) {
       return TransportFailure(ErrorCode::kOverloaded, "connection closed by server",
                               true);
     }
-    decoder_.Feed(buf, static_cast<size_t>(n));
+    decoder_.Commit(static_cast<size_t>(n));
   }
 }
 

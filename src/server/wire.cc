@@ -1,6 +1,8 @@
 #include "src/server/wire.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "src/support/buffer_pool.h"
@@ -64,10 +66,8 @@ Result<void> GetError(ByteReader& in, Error& out) {
   if (code > static_cast<uint64_t>(kMaxErrorCode)) {
     return Error(ErrorCode::kCorrupt, "unknown error code on wire");
   }
-  HAC_ASSIGN_OR_RETURN(std::string msg, in.GetString());
   out.code = static_cast<ErrorCode>(code);
-  out.message = std::move(msg);
-  return OkResult();
+  return in.GetStringInto(out.message);
 }
 
 Result<NodeType> GetNodeType(ByteReader& in) {
@@ -107,18 +107,24 @@ void PutStringVec(ByteWriter& out, const std::vector<std::string>& v) {
   }
 }
 
-Result<std::vector<std::string>> GetStringVec(ByteReader& in) {
+// Lists decode in place: the count is checked against the smallest encoding an
+// element can have (so a damaged count is refused before anything is allocated),
+// the container is sized once, and each element is read straight into its slot.
+Result<uint64_t> GetListCount(ByteReader& in, size_t min_element_bytes) {
   HAC_ASSIGN_OR_RETURN(uint64_t n, in.GetVarint());
-  if (n > in.remaining()) {  // each element costs >= 1 byte
+  if (n > in.remaining() / min_element_bytes) {
     return Error(ErrorCode::kCorrupt, "list count exceeds payload");
   }
-  std::vector<std::string> v;
-  v.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    HAC_ASSIGN_OR_RETURN(std::string s, in.GetString());
-    v.push_back(std::move(s));
+  return n;
+}
+
+Result<void> GetStringVec(ByteReader& in, std::vector<std::string>& v) {
+  HAC_ASSIGN_OR_RETURN(uint64_t n, GetListCount(in, 1));
+  v.resize(n);
+  for (std::string& s : v) {
+    HAC_RETURN_IF_ERROR(in.GetStringInto(s));
   }
-  return v;
+  return OkResult();
 }
 
 void PutPairVec(ByteWriter& out,
@@ -130,19 +136,29 @@ void PutPairVec(ByteWriter& out,
   }
 }
 
-Result<std::vector<std::pair<std::string, std::string>>> GetPairVec(ByteReader& in) {
-  HAC_ASSIGN_OR_RETURN(uint64_t n, in.GetVarint());
-  if (n > in.remaining()) {
-    return Error(ErrorCode::kCorrupt, "list count exceeds payload");
+Result<void> GetPairVec(ByteReader& in,
+                        std::vector<std::pair<std::string, std::string>>& v) {
+  HAC_ASSIGN_OR_RETURN(uint64_t n, GetListCount(in, 2));
+  v.resize(n);
+  for (auto& [a, b] : v) {
+    HAC_RETURN_IF_ERROR(in.GetStringInto(a));
+    HAC_RETURN_IF_ERROR(in.GetStringInto(b));
   }
-  std::vector<std::pair<std::string, std::string>> v;
-  v.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    HAC_ASSIGN_OR_RETURN(std::string a, in.GetString());
-    HAC_ASSIGN_OR_RETURN(std::string b, in.GetString());
-    v.emplace_back(std::move(a), std::move(b));
+  return OkResult();
+}
+
+// A DirEntry's smallest encoding: empty name, type, one-byte inode.
+constexpr size_t kMinEntryBytes = 3;
+
+Result<void> GetEntries(ByteReader& in, std::vector<DirEntry>& v) {
+  HAC_ASSIGN_OR_RETURN(uint64_t n, GetListCount(in, kMinEntryBytes));
+  v.resize(n);
+  for (DirEntry& e : v) {
+    HAC_RETURN_IF_ERROR(in.GetStringInto(e.name));
+    HAC_ASSIGN_OR_RETURN(e.type, GetNodeType(in));
+    HAC_ASSIGN_OR_RETURN(e.inode, in.GetVarint());
   }
-  return v;
+  return OkResult();
 }
 
 // StatsSnapshot crosses the wire as a fixed sequence of varints: the 15 facade
@@ -294,8 +310,8 @@ Result<ServerRequest> DecodeRequest(ByteReader& in) {
   req.flags = static_cast<uint32_t>(flags);
   HAC_ASSIGN_OR_RETURN(req.fd, GetFd(in));
   HAC_ASSIGN_OR_RETURN(req.size, in.GetVarint());
-  HAC_ASSIGN_OR_RETURN(req.path, in.GetString());
-  HAC_ASSIGN_OR_RETURN(req.aux, in.GetString());
+  HAC_RETURN_IF_ERROR(in.GetStringInto(req.path));
+  HAC_RETURN_IF_ERROR(in.GetStringInto(req.aux));
   return req;
 }
 
@@ -323,24 +339,13 @@ Result<ServerResponse> DecodeResponse(ByteReader& in) {
   HAC_RETURN_IF_ERROR(GetError(in, resp.error));
   HAC_ASSIGN_OR_RETURN(resp.fd, GetFd(in));
   HAC_ASSIGN_OR_RETURN(resp.size, in.GetVarint());
-  HAC_ASSIGN_OR_RETURN(resp.text, in.GetString());
-  HAC_ASSIGN_OR_RETURN(uint64_t entry_count, in.GetVarint());
-  if (entry_count > in.remaining()) {
-    return Error(ErrorCode::kCorrupt, "list count exceeds payload");
-  }
-  resp.entries.reserve(entry_count);
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    DirEntry e;
-    HAC_ASSIGN_OR_RETURN(e.name, in.GetString());
-    HAC_ASSIGN_OR_RETURN(e.type, GetNodeType(in));
-    HAC_ASSIGN_OR_RETURN(e.inode, in.GetVarint());
-    resp.entries.push_back(std::move(e));
-  }
-  HAC_ASSIGN_OR_RETURN(resp.paths, GetStringVec(in));
+  HAC_RETURN_IF_ERROR(in.GetStringInto(resp.text));
+  HAC_RETURN_IF_ERROR(GetEntries(in, resp.entries));
+  HAC_RETURN_IF_ERROR(GetStringVec(in, resp.paths));
   HAC_ASSIGN_OR_RETURN(resp.st, GetStat(in));
-  HAC_ASSIGN_OR_RETURN(resp.links.permanent, GetPairVec(in));
-  HAC_ASSIGN_OR_RETURN(resp.links.transient, GetPairVec(in));
-  HAC_ASSIGN_OR_RETURN(resp.links.prohibited, GetStringVec(in));
+  HAC_RETURN_IF_ERROR(GetPairVec(in, resp.links.permanent));
+  HAC_RETURN_IF_ERROR(GetPairVec(in, resp.links.transient));
+  HAC_RETURN_IF_ERROR(GetStringVec(in, resp.links.prohibited));
   HAC_RETURN_IF_ERROR(GetStats(in, resp.stats));
   return resp;
 }
@@ -412,10 +417,10 @@ Result<ServerResponse> DecodeResponseFrame(const std::vector<uint8_t>& frame) {
 namespace {
 
 template <typename T>
-Result<T> DecodePayload(const std::vector<uint8_t>& payload,
+Result<T> DecodePayload(const uint8_t* data, size_t size,
                         Result<T> (*decode)(ByteReader&)) {
   const uint64_t t0 = NowNs();
-  ByteReader in(payload);
+  ByteReader in(data, size);
   Result<T> decoded = decode(in);
   if (decoded.ok()) {
     HAC_RETURN_IF_ERROR(ExpectEnd(in));
@@ -426,39 +431,63 @@ Result<T> DecodePayload(const std::vector<uint8_t>& payload,
 
 }  // namespace
 
-Result<ServerRequest> DecodeRequestPayload(const std::vector<uint8_t>& payload) {
-  return DecodePayload(payload, DecodeRequest);
+Result<ServerRequest> DecodeRequestPayload(const uint8_t* data, size_t size) {
+  return DecodePayload(data, size, DecodeRequest);
 }
 
-Result<ServerResponse> DecodeResponsePayload(const std::vector<uint8_t>& payload) {
-  return DecodePayload(payload, DecodeResponse);
+Result<ServerResponse> DecodeResponsePayload(const uint8_t* data, size_t size) {
+  return DecodePayload(data, size, DecodeResponse);
+}
+
+uint8_t* FrameDecoder::Reserve(size_t n) {
+  if (pos_ == end_) {
+    pos_ = end_ = 0;  // everything consumed: refill from the front
+  }
+  if (buf_.size() - end_ < n) {
+    // Slide the unconsumed tail (at most one partial frame) to the front, and grow
+    // only if the room is still short, so a long-lived connection's buffer stays
+    // bounded by its largest frame plus one receive.
+    if (pos_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+      end_ -= pos_;
+      pos_ = 0;
+    }
+    if (buf_.size() - end_ < n) {
+      buf_.resize(std::max(buf_.size() * 2, end_ + n));
+    }
+  }
+  return buf_.data() + end_;
+}
+
+void FrameDecoder::Feed(const uint8_t* data, size_t n) {
+  if (n > 0) {
+    std::memcpy(Reserve(n), data, n);
+    Commit(n);
+  }
+}
+
+Result<std::optional<FrameDecoder::FrameView>> FrameDecoder::NextView() {
+  if (end_ - pos_ < kWireHeaderSize) {
+    return std::optional<FrameView>();
+  }
+  ByteReader in(buf_.data() + pos_, end_ - pos_);
+  FrameKind kind;
+  HAC_ASSIGN_OR_RETURN(uint32_t len, ReadHeader(in, &kind));
+  if (end_ - pos_ - kWireHeaderSize < len) {
+    return std::optional<FrameView>();  // header complete, payload still in flight
+  }
+  FrameView view{kind, buf_.data() + pos_ + kWireHeaderSize, len};
+  pos_ += kWireHeaderSize + len;
+  return std::optional<FrameView>(view);
 }
 
 Result<std::optional<FrameDecoder::Frame>> FrameDecoder::Next() {
-  if (buf_.size() - pos_ < kWireHeaderSize) {
+  HAC_ASSIGN_OR_RETURN(std::optional<FrameView> view, NextView());
+  if (!view.has_value()) {
     return std::optional<Frame>();
   }
-  ByteReader in(buf_.data() + pos_, buf_.size() - pos_);
-  FrameKind kind;
-  HAC_ASSIGN_OR_RETURN(uint32_t len, ReadHeader(in, &kind));
-  if (buf_.size() - pos_ - kWireHeaderSize < len) {
-    return std::optional<Frame>();  // header complete, payload still in flight
-  }
-  Frame f;
-  f.kind = kind;
-  // Pooled scratch: the payload copy reuses a previously released buffer's
-  // capacity, so steady-state decoding allocates nothing either.
-  f.payload = BufferPool::Global().Acquire();
-  f.payload.assign(buf_.begin() + static_cast<ptrdiff_t>(pos_ + kWireHeaderSize),
-                   buf_.begin() + static_cast<ptrdiff_t>(pos_ + kWireHeaderSize + len));
-  pos_ += kWireHeaderSize + len;
-  // Compact once the consumed prefix dominates, so a long-lived connection does
-  // not grow its buffer without bound.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-  return std::optional<Frame>(std::move(f));
+  return std::optional<Frame>(
+      Frame{view->kind, std::vector<uint8_t>(view->data, view->data + view->size)});
 }
 
 }  // namespace hac

@@ -27,6 +27,7 @@
 #ifndef HAC_SERVER_WIRE_H_
 #define HAC_SERVER_WIRE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -59,9 +60,9 @@ Result<ServerResponse> DecodeResponse(ByteReader& in);
 // Encoding records hac.server.wire_encode_ns; decoding hac.server.wire_decode_ns.
 // Frames are built in ONE buffer drawn from the global BufferPool (the header's
 // length field is patched in place after the payload is encoded), so steady-state
-// encoding performs no heap allocation. A transport that is done with a frame (or
-// a decoded FrameDecoder payload) should hand the vector back via RecycleBuffer;
-// not doing so is only a missed pool hit, never a leak.
+// encoding performs no heap allocation. A transport that is done with a frame
+// should hand the vector back via RecycleBuffer; not doing so is only a missed pool
+// hit, never a leak.
 std::vector<uint8_t> EncodeRequestFrame(const ServerRequest& req);
 // Response frames are additionally bounded by MaxEncodablePayload(): a response
 // whose payload would exceed it (or overflow the u32 length patch) is replaced
@@ -75,7 +76,7 @@ size_t MaxEncodablePayload();
 // Test hook: lowers the cap (clamped to kMaxFramePayload; 0 restores the
 // default). Returns the previous value.
 size_t SetMaxEncodablePayloadForTest(size_t limit);
-// Returns a frame/payload buffer to the codec's scratch pool.
+// Returns an encoded frame's buffer to the codec's scratch pool.
 void RecycleBuffer(std::vector<uint8_t>&& buf);
 // Decode one complete frame (header included). `expect` is the kind the caller is
 // prepared to handle; a frame of the other kind is kCorrupt.
@@ -84,29 +85,55 @@ Result<ServerResponse> DecodeResponseFrame(const std::vector<uint8_t>& frame);
 
 // Decode a bare payload as produced by FrameDecoder (header already validated and
 // stripped). Rejects trailing bytes; records hac.server.wire_decode_ns.
-Result<ServerRequest> DecodeRequestPayload(const std::vector<uint8_t>& payload);
-Result<ServerResponse> DecodeResponsePayload(const std::vector<uint8_t>& payload);
+Result<ServerRequest> DecodeRequestPayload(const uint8_t* data, size_t size);
+Result<ServerResponse> DecodeResponsePayload(const uint8_t* data, size_t size);
+inline Result<ServerRequest> DecodeRequestPayload(const std::vector<uint8_t>& payload) {
+  return DecodeRequestPayload(payload.data(), payload.size());
+}
+inline Result<ServerResponse> DecodeResponsePayload(const std::vector<uint8_t>& payload) {
+  return DecodeResponsePayload(payload.data(), payload.size());
+}
 
-// Incremental frame scanner for a byte stream. Feed() appends raw bytes; Next()
-// yields the payload of each complete frame in order (header validated and
-// stripped), std::nullopt when more bytes are needed, or an error once the stream
-// is unrecoverable (framing is length-prefixed, so any header damage poisons
-// everything after it — transports close the connection).
+// Incremental frame scanner for a byte stream. Bytes go in either by receiving
+// straight into Reserve()'s room and Commit()ting the count, or by Feed() (a copy).
+// NextView() yields each complete frame in order with its header validated and its
+// payload left in place, std::nullopt when more bytes are needed, or an error once
+// the stream is unrecoverable (framing is length-prefixed, so any header damage
+// poisons everything after it — transports close the connection). The shipped
+// transports decode from the view, so a frame is never copied out of the buffer it
+// was received into.
 class FrameDecoder {
  public:
+  // A complete frame's payload, in place. Valid until the next Reserve() or Feed().
+  struct FrameView {
+    FrameKind kind;
+    const uint8_t* data;
+    size_t size;
+  };
   struct Frame {
     FrameKind kind;
     std::vector<uint8_t> payload;
   };
 
-  void Feed(const uint8_t* data, size_t n) { buf_.insert(buf_.end(), data, data + n); }
+  // Room for at least `n` more bytes at the end of the stream; write into it, then
+  // Commit() how many were written. Invalidates earlier views.
+  uint8_t* Reserve(size_t n);
+  void Commit(size_t n) {
+    assert(n <= buf_.size() - end_);
+    end_ += n;
+  }
+  void Feed(const uint8_t* data, size_t n);
+
+  Result<std::optional<FrameView>> NextView();
+  // NextView() with the payload copied out, for callers that keep frames.
   Result<std::optional<Frame>> Next();
 
-  size_t buffered() const { return buf_.size() - pos_; }
+  size_t buffered() const { return end_ - pos_; }
 
  private:
-  std::vector<uint8_t> buf_;
-  size_t pos_ = 0;  // consumed prefix, compacted lazily
+  std::vector<uint8_t> buf_;  // [pos_, end_) unconsumed; [end_, size()) free room
+  size_t pos_ = 0;
+  size_t end_ = 0;
 };
 
 }  // namespace hac

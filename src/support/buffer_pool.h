@@ -1,11 +1,12 @@
-// A process-global free list of byte buffers for frame encode/decode scratch.
+// A process-global free list of byte buffers for frame encode scratch.
 //
-// The wire codec builds every outgoing frame in a fresh std::vector and the
-// streaming FrameDecoder copies every payload into one; at tens of thousands of
-// requests per second that is two heap allocations per request on the transport
-// hot path. The pool recycles those vectors: Acquire() hands out an empty vector
-// that usually still owns a previous frame's capacity (a "hit"), Release() parks
-// it for the next caller instead of freeing it.
+// The wire codec builds every outgoing frame in its own std::vector; at tens of
+// thousands of requests per second that is a heap allocation per frame on the
+// transport hot path. The pool recycles those vectors: Acquire() hands out an
+// empty vector that usually still owns a previous frame's capacity (a "hit"),
+// Release() parks it for the next caller instead of freeing it. Decoding needs no
+// scratch: the transports decode each payload in place in their FrameDecoder's
+// receive buffer.
 //
 // Contract:
 //   * Acquire() returns an EMPTY vector (size 0); capacity is whatever a prior

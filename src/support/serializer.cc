@@ -16,44 +16,20 @@ void ByteWriter::PutU64(uint64_t v) {
   }
 }
 
-void ByteWriter::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<uint8_t>(v));
-}
-
-void ByteWriter::PutString(std::string_view s) {
-  PutVarint(s.size());
-  PutBytes(s.data(), s.size());
-}
-
-void ByteWriter::PutBytes(const void* data, size_t n) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + n);
-}
-
 void ByteWriter::PatchU32(size_t offset, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf_[offset + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 
-Result<void> ByteReader::Need(size_t n) {
-  if (size_ - pos_ < n) {
-    return Error(ErrorCode::kCorrupt, "truncated buffer");
-  }
-  return OkResult();
-}
-
-Result<uint8_t> ByteReader::GetU8() {
-  HAC_RETURN_IF_ERROR(Need(1));
-  return data_[pos_++];
+Error ByteReader::Truncated() {
+  return Error(ErrorCode::kCorrupt, "truncated buffer");
 }
 
 Result<uint32_t> ByteReader::GetU32() {
-  HAC_RETURN_IF_ERROR(Need(4));
+  if (size_ - pos_ < 4) {
+    return Truncated();
+  }
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
     v |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
@@ -63,7 +39,9 @@ Result<uint32_t> ByteReader::GetU32() {
 }
 
 Result<uint64_t> ByteReader::GetU64() {
-  HAC_RETURN_IF_ERROR(Need(8));
+  if (size_ - pos_ < 8) {
+    return Truncated();
+  }
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
     v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
@@ -72,11 +50,13 @@ Result<uint64_t> ByteReader::GetU64() {
   return v;
 }
 
-Result<uint64_t> ByteReader::GetVarint() {
+Result<uint64_t> ByteReader::GetVarintSlow() {
   uint64_t v = 0;
   int shift = 0;
   for (;;) {
-    HAC_RETURN_IF_ERROR(Need(1));
+    if (pos_ == size_) {
+      return Truncated();
+    }
     uint8_t b = data_[pos_++];
     if (shift >= 64) {
       return Error(ErrorCode::kCorrupt, "varint overflow");
@@ -91,18 +71,12 @@ Result<uint64_t> ByteReader::GetVarint() {
 }
 
 Result<void> ByteReader::GetBytes(void* out, size_t n) {
-  HAC_RETURN_IF_ERROR(Need(n));
+  if (size_ - pos_ < n) {
+    return Truncated();
+  }
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return OkResult();
-}
-
-Result<std::string> ByteReader::GetString() {
-  HAC_ASSIGN_OR_RETURN(uint64_t n, GetVarint());
-  HAC_RETURN_IF_ERROR(Need(n));
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
 }
 
 }  // namespace hac

@@ -1,13 +1,20 @@
-// Byte-buffer serialization used by VFS snapshots and HAC metadata persistence.
+// Byte-buffer serialization used by VFS snapshots, HAC metadata persistence and the
+// wire codec.
 //
 // Format: little-endian fixed-width integers, LEB128 varints, and length-prefixed
 // strings. The Reader validates bounds and reports kCorrupt instead of reading past
 // the end.
+//
+// The per-byte paths (PutU8/PutVarint/PutString, GetU8, a one-byte GetVarint, string
+// reads) are inline: a listing of thousands of entries makes thousands of calls, and a
+// successful read constructs no Error. Failures are built out of line, with the
+// codes and messages they always had.
 #ifndef HAC_SUPPORT_SERIALIZER_H_
 #define HAC_SUPPORT_SERIALIZER_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/support/result.h"
@@ -27,9 +34,21 @@ class ByteWriter {
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
-  void PutVarint(uint64_t v);
-  void PutString(std::string_view s);
-  void PutBytes(const void* data, size_t n);
+  void PutVarint(uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<uint8_t>(v));
+  }
+  void PutString(std::string_view s) {
+    PutVarint(s.size());
+    PutBytes(s.data(), s.size());
+  }
+  void PutBytes(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    buf_.insert(buf_.end(), p, p + n);
+  }
   // Overwrites 4 already-written bytes at `offset` (little-endian). For
   // length-prefixed framing: write a placeholder, encode the body, patch the real
   // size — one buffer, no copy of the payload into a second one.
@@ -48,11 +67,36 @@ class ByteReader {
   ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   explicit ByteReader(const std::vector<uint8_t>& buf) : data_(buf.data()), size_(buf.size()) {}
 
-  Result<uint8_t> GetU8();
+  Result<uint8_t> GetU8() {
+    if (pos_ == size_) {
+      return Truncated();
+    }
+    return data_[pos_++];
+  }
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
-  Result<uint64_t> GetVarint();
-  Result<std::string> GetString();
+  Result<uint64_t> GetVarint() {
+    if (pos_ < size_ && data_[pos_] < 0x80) {
+      return data_[pos_++];
+    }
+    return GetVarintSlow();
+  }
+  Result<std::string> GetString() {
+    std::string s;
+    HAC_RETURN_IF_ERROR(GetStringInto(s));
+    return s;
+  }
+  // Reads a string into `out` in place, reusing its storage: the decode loops of
+  // large lists fill pre-sized containers with it.
+  Result<void> GetStringInto(std::string& out) {
+    HAC_ASSIGN_OR_RETURN(uint64_t n, GetVarint());
+    if (n > size_ - pos_) {
+      return Truncated();
+    }
+    out.assign(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return OkResult();
+  }
   // Copies `n` raw bytes into `out`.
   Result<void> GetBytes(void* out, size_t n);
 
@@ -60,7 +104,9 @@ class ByteReader {
   bool AtEnd() const { return pos_ == size_; }
 
  private:
-  Result<void> Need(size_t n);
+  // kCorrupt "truncated buffer": what every read past the end reports.
+  static Error Truncated();
+  Result<uint64_t> GetVarintSlow();
 
   const uint8_t* data_;
   size_t size_;

@@ -180,6 +180,27 @@ TEST_F(TransientLinksTest, RenamingAFileOntoATransientLinkDeletesTheLink) {
   EXPECT_EQ(fs_.Rename("/home/sub", "/fp/b.txt").code(), ErrorCode::kAlreadyExists);
 }
 
+TEST_F(TransientLinksTest, RenamingAFileOntoAPermanentLinkDeletesTheLink) {
+  ASSERT_TRUE(fs_.PromoteLink("/fp/a.txt").ok());
+  ASSERT_TRUE(fs_.Rename("/docs/b.txt", "/fp/a.txt").ok());
+  EXPECT_EQ(fs_.LstatPath("/fp/a.txt").value().type, NodeType::kFile);
+  EXPECT_EQ(fs_.ReadFileToString("/fp/a.txt").value(), "fingerprint whorl");
+  // As Unlink of the permanent link would: its record goes and the doc is
+  // prohibited in /fp.
+  LinkClassView classes = fs_.GetLinkClasses("/fp").value();
+  EXPECT_TRUE(classes.permanent.empty());
+  EXPECT_EQ(classes.prohibited, (std::vector<std::string>{"/docs/a.txt"}));
+  // b.txt moved into /fp's scope, which settles at the next reindex (C4 until then);
+  // the link record must be gone at once.
+  for (const std::string& finding : RunFsck(fs_).findings) {
+    EXPECT_NE(finding.substr(0, 3), "C3:") << finding;
+  }
+  ASSERT_TRUE(fs_.Reindex().ok());
+  EXPECT_TRUE(fs_.GetLinkClasses("/fp").value().permanent.empty());
+  EXPECT_EQ(fs_.LstatPath("/fp/a.txt").value().type, NodeType::kFile);
+  EXPECT_TRUE(RunFsck(fs_).Clean()) << RunFsck(fs_).ToString();
+}
+
 TEST_F(TransientLinksTest, WritingThroughADanglingLinkRegistersTheTarget) {
   ASSERT_TRUE(fs_.Unlink("/docs/a.txt").ok());
   // The link dangles until the next reindex; writing through it recreates the file

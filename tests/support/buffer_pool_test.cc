@@ -1,4 +1,4 @@
-// BufferPool: the global free-list behind wire frame encode/decode scratch.
+// BufferPool: the global free-list behind wire frame encode scratch.
 // The pool is a process-global singleton, so every assertion is on deltas.
 #include "src/support/buffer_pool.h"
 
