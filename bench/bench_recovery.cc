@@ -69,7 +69,6 @@ LoadResult LoadDirectory(const std::string& dir, size_t batches,
                          size_t files_per_batch, size_t checkpoint_after_batch) {
   DurabilityOptions opts;
   opts.data_dir = dir;
-  opts.wal_fault = FaultSpec{};  // benches never inject faults
   auto store = DurableStore::Open(opts);
   if (!store.ok()) {
     std::abort();
@@ -112,7 +111,6 @@ struct RecoveryRun {
 RecoveryRun RecoverDirectory(const std::string& dir) {
   DurabilityOptions opts;
   opts.data_dir = dir;
-  opts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(opts);
   if (!store.ok()) {
     std::abort();
@@ -219,7 +217,6 @@ void BM_Checkpoint(benchmark::State& state) {
   LoadDirectory(dir, batches, /*files_per_batch=*/8, /*checkpoint_after_batch=*/0);
   DurabilityOptions opts;
   opts.data_dir = dir;
-  opts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(opts);
   if (!store.ok()) {
     std::abort();

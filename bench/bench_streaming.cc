@@ -13,8 +13,8 @@
 //     the reactor's write_high_water — the monolithic frame demonstrably does
 //     not, which is why cursors exist;
 //   * ablation: over a randomized query corpus (selectivity buckets plus random
-//     boolean combinations), the lazy cursor path must return exactly the eager
-//     bitmap path's results.
+//     boolean combinations), paged SearchPage must return exactly monolithic
+//     Search's results.
 //
 // --hac_json prints the gate document; the measured rows are also written to
 // BENCH_streaming.json (WriteBenchArtifact) for machine consumption either way.
@@ -247,7 +247,7 @@ int Run(bool json) {
       DigestStrings(mono_paths) == DigestStrings(paged_paths);
   const bool search_frames_ok = max_search_frame <= write_high_water;
 
-  // --- cursor-vs-bitmap ablation over a randomized query corpus ------------
+  // --- paged-vs-monolithic search ablation over a randomized query corpus ---
   QueryBucketOptions qopts;
   auto* index = dynamic_cast<InvertedIndex*>(&fs.index());
   if (index == nullptr) {
@@ -283,11 +283,11 @@ int Run(bool json) {
   }
   size_t ablation_checked = 0, ablation_mismatches = 0;
   for (const auto& q : queries) {
-    auto eager = fs.Search(q, "/corpus");
-    if (!eager.ok()) {
+    auto mono = fs.Search(q, "/corpus");
+    if (!mono.ok()) {
       continue;  // bucket probing can surface internal-only tokens; skip
     }
-    std::vector<std::string> lazy;
+    std::vector<std::string> paged;
     const PageToken* token = nullptr;
     PageToken held;
     bool failed = false;
@@ -298,7 +298,7 @@ int Run(bool json) {
         break;
       }
       for (auto& p : page.value().paths) {
-        lazy.push_back(std::move(p));
+        paged.push_back(std::move(p));
       }
       if (!page.value().has_more) {
         break;
@@ -307,10 +307,10 @@ int Run(bool json) {
       token = &held;
     }
     ++ablation_checked;
-    std::vector<std::string> want = eager.value();
+    std::vector<std::string> want = mono.value();
     std::sort(want.begin(), want.end());
-    std::sort(lazy.begin(), lazy.end());
-    if (failed || DigestStrings(want) != DigestStrings(lazy)) {
+    std::sort(paged.begin(), paged.end());
+    if (failed || DigestStrings(want) != DigestStrings(paged)) {
       ++ablation_mismatches;
       std::fprintf(stderr, "ablation mismatch on query: %s\n", q.c_str());
     }

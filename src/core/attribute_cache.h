@@ -1,6 +1,6 @@
 // Attribute cache: HAC's stand-in for the paper's shared-memory attribute cache that
-// "helps to speed up Scan and Read operations". Caches Stat results by inode; mutations
-// invalidate. Shared across all HAC processes (the paper stores it in UNIX shared
+// "helps to speed up Scan and Read operations". Caches regular files' Stat results by
+// inode; mutations invalidate. Shared across all HAC processes (the paper stores it in UNIX shared
 // memory for the same reason) — and, under the hacd service layer, across concurrent
 // reader threads, so the map is guarded by a mutex; hits and misses count on
 // counters exported as hac.attr_cache.{hits,misses}. The critical sections are a

@@ -158,11 +158,6 @@ FaultSpec FaultSpec::Parse(const std::string& spec) {
   return out;
 }
 
-FaultSpec FaultSpec::FromEnv() {
-  const char* env = std::getenv("HAC_WAL_FAULT");
-  return env != nullptr ? Parse(env) : FaultSpec{};
-}
-
 // ---------------------------------------------------------------------------
 // RealFile
 // ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@
 //
 // Fault injection: DurableFile is the seam. FaultyFile buffers writes until Sync()
 // (modelling the volatile page cache) and can crash after N writes, tear the final
-// frame in half, or flip a bit — driven programmatically or via the HAC_WAL_FAULT
-// environment variable ("crash_after:N" | "torn:N" | "bitflip:N"). The recovery test
-// matrix in tests/core/durability_test.cc is built on it.
+// frame in half, or flip a bit, as DurabilityOptions::wal_fault says (FaultSpec::Parse
+// reads "crash_after:N" | "torn:N" | "bitflip:N"). The recovery test matrix in
+// tests/core/durability_test.cc is built on it.
 #ifndef HAC_CORE_DURABILITY_H_
 #define HAC_CORE_DURABILITY_H_
 
@@ -62,8 +62,6 @@ struct FaultSpec {
 
   // Parses "crash_after:N" / "torn:N" / "bitflip:N" (empty or unknown -> kNone).
   static FaultSpec Parse(const std::string& spec);
-  // Reads the HAC_WAL_FAULT environment variable.
-  static FaultSpec FromEnv();
 };
 
 // Append-only file abstraction the WAL and checkpoint writers go through.
@@ -122,9 +120,9 @@ struct DurabilityOptions {
   // (or bytes) have accumulated since the last checkpoint. 0 disables that trigger.
   uint64_t checkpoint_interval_records = 4096;
   uint64_t checkpoint_interval_bytes = 4u << 20;
-  // Fault injection for the WAL file (checkpoint temp files stay real so the
-  // matrix rows stay independent). Defaults to HAC_WAL_FAULT.
-  FaultSpec wal_fault = FaultSpec::FromEnv();
+  // Fault injection for the WAL file, set in code by tests (checkpoint temp files
+  // stay real so the matrix rows stay independent). Off by default.
+  FaultSpec wal_fault;
 };
 
 struct RecoveryInfo {

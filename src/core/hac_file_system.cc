@@ -640,6 +640,13 @@ Result<void> HacFileSystem::Rename(const std::string& from, const std::string& t
       if (doc != kInvalidDocId && !m->links.HasDoc(doc)) {
         m->links.Unprohibit(doc);
         HAC_RETURN_IF_ERROR(m->links.AddLink(dst_name, doc, LinkClass::kPermanent));
+      } else if (doc != kInvalidDocId) {
+        // The doc is already linked here: as with Symlink, the user's move pins it.
+        // Promote the existing link and track the arriving one as a plain alias.
+        HAC_ASSIGN_OR_RETURN(std::string existing, m->links.NameOf(doc));
+        HAC_RETURN_IF_ERROR(PromoteTracked(
+            m, JoinPath(dst_parent == "/" ? "" : dst_parent, existing)));
+        HAC_RETURN_IF_ERROR(m->links.AddForeignLink(dst_name));
       } else {
         HAC_RETURN_IF_ERROR(m->links.AddForeignLink(dst_name));
       }
@@ -788,14 +795,24 @@ Result<Stat> HacFileSystem::StatPath(const std::string& path) {
     return r.fs->StatPath(r.path);
   }
   // Phase-3 path: resolve, then consult the shared attribute cache. The VFS follows
-  // transient links itself (ServeTransientLinks).
+  // transient links itself (ServeTransientLinks). Only regular files are cached:
+  // every write, truncate, unlink and rename-over invalidates them, while a
+  // directory's size and mtime move with each entry and transient link, so its
+  // Stat is computed every time.
   HAC_ASSIGN_OR_RETURN(InodeId inode, vfs_.Lookup(r.path, /*follow_final=*/true));
-  if (auto cached = attr_cache_.Get(inode); cached.has_value()) {
-    return *cached;
+  const Inode* node = vfs_.FindInode(inode);
+  const bool cacheable = node != nullptr && node->type == NodeType::kFile;
+  if (cacheable) {
+    if (auto cached = attr_cache_.Get(inode); cached.has_value()) {
+      return *cached;
+    }
   }
   HAC_ASSIGN_OR_RETURN(Stat st, vfs_.StatPath(r.path));
-  CountTransients(r.path, &st);
-  attr_cache_.Put(inode, st);
+  if (cacheable) {
+    attr_cache_.Put(inode, st);
+  } else {
+    CountTransients(r.path, &st);
+  }
   return st;
 }
 

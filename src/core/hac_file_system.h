@@ -129,11 +129,11 @@ class HacFileSystem final : public FsInterface {
   Result<DirPageResult> ReadDirPage(const std::string& path, const PageToken* token,
                                     size_t max_entries = 0, size_t max_bytes = 0);
 
-  // Paged Search: pulls the next page of matches lazily through a PostingCursor
-  // tree (index/posting_cursor.h) instead of materializing the result bitmap.
+  // Paged Search: runs the query as Search() does, through
+  // InvertedIndex::OpenCursor, and pulls one page from the cursor over the result.
   // Paths come back in DocId order, resuming strictly after the token's last
   // DocId; with no concurrent writes the union of pages equals Search() as a set.
-  // Resume semantics as in ReadDirPage.
+  // Every page re-evaluates the query. Resume semantics as in ReadDirPage.
   Result<SearchPageResult> SearchPage(const std::string& query,
                                       const std::string& scope_dir,
                                       const PageToken* token,
@@ -253,6 +253,20 @@ class HacFileSystem final : public FsInterface {
 
   // Normalizes and routes a path through the syntactic mount table.
   Result<Routed> Route(const std::string& path) const;
+
+  // Binds a parsed query's unbound dir() references to their directories' UIDs.
+  Result<void> BindDirRefs(QueryExpr* ast);
+
+  // A search query ready to evaluate: parsed, dir()-bound and optimized, with the
+  // scope directory's contents and the resolver its dir() references read.
+  struct BoundSearch {
+    QueryExprPtr query;
+    Bitmap scope;
+    DirResolver resolver;
+  };
+  // The front half Search and SearchPage share. `scope_dir` must be local; batched
+  // mutations are settled first.
+  Result<BoundSearch> BindSearch(const std::string& query, const std::string& scope_dir);
 
   Result<DirMetadata*> MetaOfPath(const std::string& norm_path);
 

@@ -55,6 +55,19 @@ Result<void> HacFileSystem::SetQuery(const std::string& path, const std::string&
   }
 
   HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
+  HAC_RETURN_IF_ERROR(BindDirRefs(ast.get()));
+  HAC_ASSIGN_OR_RETURN(std::vector<DirUid> deps, ComputeDeps(uid, r.path, ast.get()));
+  // Cycle rejection happens here, before any state changes.
+  HAC_RETURN_IF_ERROR(graph_.SetDependencies(uid, deps));
+  meta->query_text = query;
+  meta->query = std::move(ast);
+  // A cached evaluation of the previous query says nothing about this one.
+  engine_->InvalidateCache(uid);
+  journal_.Append(JournalOp::kQuerySet, uid, r.path, query);
+  return engine_->NotifyScopeChanged(uid);
+}
+
+Result<void> HacFileSystem::BindDirRefs(QueryExpr* ast) {
   // Bind dir() references to stable UIDs (section 2.5): queries never store paths.
   std::vector<QueryExpr*> refs;
   ast->CollectDirRefs(refs);
@@ -71,15 +84,7 @@ Result<void> HacFileSystem::SetQuery(const std::string& path, const std::string&
     ref->dir_uid = ref_uid;
     ref->text.clear();
   }
-  HAC_ASSIGN_OR_RETURN(std::vector<DirUid> deps, ComputeDeps(uid, r.path, ast.get()));
-  // Cycle rejection happens here, before any state changes.
-  HAC_RETURN_IF_ERROR(graph_.SetDependencies(uid, deps));
-  meta->query_text = query;
-  meta->query = std::move(ast);
-  // A cached evaluation of the previous query says nothing about this one.
-  engine_->InvalidateCache(uid);
-  journal_.Append(JournalOp::kQuerySet, uid, r.path, query);
-  return engine_->NotifyScopeChanged(uid);
+  return OkResult();
 }
 
 Result<std::string> HacFileSystem::GetQuery(const std::string& path) {
@@ -137,34 +142,32 @@ Result<std::vector<std::string>> HacFileSystem::SAct(const std::string& link_pat
   return matching;
 }
 
-Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
-                                                       const std::string& scope_dir) {
+Result<HacFileSystem::BoundSearch> HacFileSystem::BindSearch(const std::string& query,
+                                                            const std::string& scope_dir) {
   HAC_ASSIGN_OR_RETURN(Routed r, Route(scope_dir));
   if (!r.local) {
     return Error(ErrorCode::kUnsupported, "search applies to the local name space");
   }
-  // Search reads link sets through dir() references and the scope directory: settle
-  // any batched mutations first.
+  // A search reads link sets through dir() references and the scope directory:
+  // settle any batched mutations first.
   HAC_RETURN_IF_ERROR(engine_->Flush());
   HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
-  std::vector<QueryExpr*> refs;
-  ast->CollectDirRefs(refs);
-  for (QueryExpr* ref : refs) {
-    std::string ref_path = NormalizePath(ref->text);
-    if (ref_path.empty()) {
-      return Error(ErrorCode::kInvalidArgument, "dir() needs an absolute path");
-    }
-    HAC_ASSIGN_OR_RETURN(DirUid ref_uid, uid_map_.UidOf(ref_path));
-    ref->dir_uid = ref_uid;
-    ref->text.clear();
-  }
+  HAC_RETURN_IF_ERROR(BindDirRefs(ast.get()));
   HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(r.path));
-  HAC_ASSIGN_OR_RETURN(Bitmap scope, DirContentsOfUid(scope_uid));
-  DirResolver resolver = [this](DirUid uid) -> Result<Bitmap> {
+  BoundSearch bound;
+  HAC_ASSIGN_OR_RETURN(bound.scope, DirContentsOfUid(scope_uid));
+  bound.query = OptimizeQuery(std::move(ast), index_.get());
+  bound.resolver = [this](DirUid uid) -> Result<Bitmap> {
     return this->DirContentsOfUid(uid);
   };
-  QueryExprPtr optimized = OptimizeQuery(std::move(ast), index_.get());
-  HAC_ASSIGN_OR_RETURN(Bitmap result, index_->Evaluate(*optimized, scope, &resolver));
+  return bound;
+}
+
+Result<std::vector<std::string>> HacFileSystem::Search(const std::string& query,
+                                                       const std::string& scope_dir) {
+  HAC_ASSIGN_OR_RETURN(BoundSearch bound, BindSearch(query, scope_dir));
+  HAC_ASSIGN_OR_RETURN(Bitmap result,
+                       index_->Evaluate(*bound.query, bound.scope, &bound.resolver));
   std::vector<std::string> paths;
   paths.reserve(result.Count());
   result.ForEach([&](DocId doc) {
@@ -182,11 +185,7 @@ Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
                                                    const PageToken* token,
                                                    size_t max_results,
                                                    size_t max_bytes) {
-  HAC_ASSIGN_OR_RETURN(Routed r, Route(scope_dir));
-  if (!r.local) {
-    return Error(ErrorCode::kUnsupported, "search applies to the local name space");
-  }
-  HAC_RETURN_IF_ERROR(engine_->Flush());
+  HAC_ASSIGN_OR_RETURN(BoundSearch bound, BindSearch(query, scope_dir));
   if (max_results == 0) {
     max_results = kDefaultPageEntries;
   }
@@ -194,29 +193,11 @@ Result<SearchPageResult> HacFileSystem::SearchPage(const std::string& query,
   if (max_bytes == 0) {
     max_bytes = kDefaultPageBytes;
   }
-  const bool resuming = token != nullptr && !token->at_start;
-  // Parse and bind exactly as Search() does; the difference is downstream — a
-  // lazy cursor pull instead of a materialized result bitmap.
-  HAC_ASSIGN_OR_RETURN(QueryExprPtr ast, ParseQuery(query));
-  std::vector<QueryExpr*> refs;
-  ast->CollectDirRefs(refs);
-  for (QueryExpr* ref : refs) {
-    std::string ref_path = NormalizePath(ref->text);
-    if (ref_path.empty()) {
-      return Error(ErrorCode::kInvalidArgument, "dir() needs an absolute path");
-    }
-    HAC_ASSIGN_OR_RETURN(DirUid ref_uid, uid_map_.UidOf(ref_path));
-    ref->dir_uid = ref_uid;
-    ref->text.clear();
-  }
-  HAC_ASSIGN_OR_RETURN(DirUid scope_uid, uid_map_.UidOf(r.path));
-  HAC_ASSIGN_OR_RETURN(Bitmap scope, DirContentsOfUid(scope_uid));
-  DirResolver resolver = [this](DirUid uid) -> Result<Bitmap> {
-    return this->DirContentsOfUid(uid);
-  };
-  QueryExprPtr optimized = OptimizeQuery(std::move(ast), index_.get());
+  // Each page re-runs the query: the scope is rebuilt over the whole doc space
+  // anyway, so a lazier evaluation could not make a page cheaper than that.
   HAC_ASSIGN_OR_RETURN(PostingCursorPtr cursor,
-                       index_->OpenCursor(*optimized, scope, &resolver));
+                       index_->OpenCursor(*bound.query, bound.scope, &bound.resolver));
+  const bool resuming = token != nullptr && !token->at_start;
   const uint32_t start =
       resuming ? static_cast<uint32_t>(token->last_doc) + 1 : 0;
   SearchPageResult page;

@@ -37,11 +37,6 @@ constexpr size_t kSparseScopeFactor = 8;
 // bitmap AND, which always pays O(universe/64) regardless of how sparse the terms are.
 constexpr size_t kDenseCutover = 8;  // lists denser than 1/8 use bitmaps
 
-// Prefix/approx nodes expand to one posting list per matching dictionary term.
-// Up to this many expand as a lazy OR of span cursors; beyond it the O(fanout)
-// per-step minimum scan loses to materializing the union bitmap once.
-constexpr size_t kCursorOrFanout = 16;
-
 }  // namespace
 
 InvertedIndex::InvertedIndex(TokenizerOptions tokenizer_options)
@@ -88,6 +83,20 @@ Result<void> InvertedIndex::RemoveDocument(DocId doc) {
 
 Result<Bitmap> InvertedIndex::Evaluate(const QueryExpr& query, const Bitmap& scope,
                                        const DirResolver* resolve_dir) {
+  return RunQuery(query, scope, resolve_dir);
+}
+
+Result<PostingCursorPtr> InvertedIndex::OpenCursor(const QueryExpr& query,
+                                                   const Bitmap& scope,
+                                                   const DirResolver* resolve_dir) const {
+  HAC_ASSIGN_OR_RETURN(Bitmap result, RunQuery(query, scope, resolve_dir));
+  PostingCursorPtr cursor = std::make_unique<BitmapCursor>(std::move(result));
+  cursor->SeekGE(0);
+  return cursor;
+}
+
+Result<Bitmap> InvertedIndex::RunQuery(const QueryExpr& query, const Bitmap& scope,
+                                       const DirResolver* resolve_dir) const {
   queries_evaluated_.Inc();
   TraceSpan span(metric_names::kSpanIndexEvaluate);
   const uint64_t t0 = TraceRing::NowUs();
@@ -216,134 +225,6 @@ Result<Bitmap> InvertedIndex::EvaluateNode(const QueryExpr& node, const Bitmap& 
       Bitmap bm = scope;
       bm.AndNot(operand);
       return bm;
-    }
-  }
-  return Error(ErrorCode::kInvalidArgument, "bad query node");
-}
-
-Result<PostingCursorPtr> InvertedIndex::OpenCursor(const QueryExpr& query,
-                                                   const Bitmap& scope,
-                                                   const DirResolver* resolve_dir) const {
-  queries_evaluated_.Inc();
-  PostingCursorPtr root;
-  if (query.kind == QueryKind::kAll) {
-    root = std::make_unique<BitmapCursor>(scope);
-  } else {
-    // Leaves are built unscoped; one intersection with the scope at the root is
-    // set-identical to EvaluateNode's per-node `&= scope` (intersection
-    // distributes over AND/OR, and NOT nodes scope-subtract internally).
-    HAC_ASSIGN_OR_RETURN(PostingCursorPtr tree, BuildCursor(query, scope, resolve_dir));
-    std::vector<PostingCursorPtr> both;
-    both.push_back(std::make_unique<BitmapCursor>(scope));
-    both.push_back(std::move(tree));
-    root = std::make_unique<AndCursor>(std::move(both));
-  }
-  if (fetch_content_) {
-    // Two-level verification (see SetContentVerifier), applied lazily per match.
-    // Borrows `query`: the caller keeps the AST alive while pulling.
-    root = std::make_unique<FilterCursor>(
-        std::move(root), [this, &query](uint32_t doc) {
-          auto body = fetch_content_(doc);
-          return !body.ok() || MatchesText(query, body.value());
-        });
-  }
-  root->SeekGE(0);
-  return root;
-}
-
-Result<PostingCursorPtr> InvertedIndex::BuildCursor(const QueryExpr& node,
-                                                    const Bitmap& scope,
-                                                    const DirResolver* resolve_dir) const {
-  switch (node.kind) {
-    case QueryKind::kAll:
-      return PostingCursorPtr(std::make_unique<BitmapCursor>(scope));
-    case QueryKind::kTerm: {
-      const PostingList* plist = FindPostings(node.text);
-      if (plist == nullptr || plist->Empty()) {
-        return PostingCursorPtr(std::make_unique<VectorCursor>(std::vector<uint32_t>{}));
-      }
-      return PostingCursorPtr(
-          std::make_unique<SpanCursor>(plist->docs().data(), plist->Size()));
-    }
-    case QueryKind::kPrefix:
-    case QueryKind::kApprox: {
-      std::vector<PostingCursorPtr> lists;
-      bool overflow = false;
-      Bitmap merged;
-      auto add = [&](const PostingList& p) {
-        if (p.Empty()) {
-          return;
-        }
-        if (!overflow && lists.size() == kCursorOrFanout) {
-          overflow = true;
-          for (const PostingCursorPtr& c : lists) {
-            // Spill the collected spans into a bitmap; SpanCursor is fresh, so a
-            // full SeekGE walk is just the list replay.
-            for (uint32_t v = c->SeekGE(0); v != PostingCursor::kCursorEnd;
-                 v = c->Next()) {
-              merged.Set(v);
-            }
-          }
-          lists.clear();
-        }
-        if (overflow) {
-          p.UnionInto(merged);
-        } else {
-          lists.push_back(std::make_unique<SpanCursor>(p.docs().data(), p.Size()));
-        }
-      };
-      if (node.kind == QueryKind::kPrefix) {
-        for (auto it = dictionary_.lower_bound(node.text);
-             it != dictionary_.end() && StartsWith(it->first, node.text); ++it) {
-          add(postings_[it->second]);
-        }
-      } else {
-        for (const auto& [term, id] : dictionary_) {
-          if (WithinEditDistance(term, node.text, node.approx_distance)) {
-            add(postings_[id]);
-          }
-        }
-      }
-      if (overflow) {
-        return PostingCursorPtr(std::make_unique<BitmapCursor>(std::move(merged)));
-      }
-      if (lists.empty()) {
-        return PostingCursorPtr(std::make_unique<VectorCursor>(std::vector<uint32_t>{}));
-      }
-      if (lists.size() == 1) {
-        return std::move(lists.front());
-      }
-      return PostingCursorPtr(std::make_unique<OrCursor>(std::move(lists)));
-    }
-    case QueryKind::kDirRef: {
-      if (node.dir_uid == kInvalidDirUid) {
-        return Error(ErrorCode::kInvalidArgument,
-                     "unbound dir() reference: " + node.text);
-      }
-      if (resolve_dir == nullptr || !*resolve_dir) {
-        return Error(ErrorCode::kInvalidArgument, "no dir() resolver supplied");
-      }
-      HAC_ASSIGN_OR_RETURN(Bitmap bm, (*resolve_dir)(node.dir_uid));
-      return PostingCursorPtr(std::make_unique<BitmapCursor>(std::move(bm)));
-    }
-    case QueryKind::kAnd:
-    case QueryKind::kOr: {
-      std::vector<PostingCursorPtr> children;
-      for (const QueryExprPtr& child : node.children) {
-        HAC_ASSIGN_OR_RETURN(PostingCursorPtr c,
-                             BuildCursor(*child, scope, resolve_dir));
-        children.push_back(std::move(c));
-      }
-      if (node.kind == QueryKind::kAnd) {
-        return PostingCursorPtr(std::make_unique<AndCursor>(std::move(children)));
-      }
-      return PostingCursorPtr(std::make_unique<OrCursor>(std::move(children)));
-    }
-    case QueryKind::kNot: {
-      HAC_ASSIGN_OR_RETURN(PostingCursorPtr operand,
-                           BuildCursor(*node.children[0], scope, resolve_dir));
-      return PostingCursorPtr(std::make_unique<DiffCursor>(
-          std::make_unique<BitmapCursor>(scope), std::move(operand)));
     }
   }
   return Error(ErrorCode::kInvalidArgument, "bad query node");

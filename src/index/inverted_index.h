@@ -33,13 +33,11 @@ class InvertedIndex final : public CbaMechanism {
   CbaStats Stats() const override;
   size_t IndexSizeBytes() const override;
 
-  // Lazy counterpart of Evaluate(): a cursor tree over the docs matching `query`
-  // within `scope`, already positioned at the first match. Result-set equivalence
-  // with Evaluate is pinned by tests and the bench_streaming ablation; the eager
-  // bitmap path stays the engine's propagation representation. The cursor borrows
-  // the index's posting arrays — and `query` itself when a content verifier is
-  // installed — so it is valid only until the index is mutated; callers pull one
-  // page and discard it.
+  // Evaluate() behind the paged-read interface: runs the query once, exactly as
+  // Evaluate does (EvaluateNode, then the content-verification pass, counted and
+  // timed the same way), and returns a cursor over the result, positioned at the
+  // first match. The cursor owns its result, so it outlives index mutations; it
+  // reflects the index as of this call. Callers pull one page and discard it.
   Result<PostingCursorPtr> OpenCursor(const QueryExpr& query, const Bitmap& scope,
                                       const DirResolver* resolve_dir) const;
 
@@ -84,8 +82,10 @@ class InvertedIndex final : public CbaMechanism {
   Result<Bitmap> EvaluateNode(const QueryExpr& node, const Bitmap& scope,
                               const DirResolver* resolve_dir) const;
 
-  Result<PostingCursorPtr> BuildCursor(const QueryExpr& node, const Bitmap& scope,
-                                       const DirResolver* resolve_dir) const;
+  // One top-level evaluation, shared by Evaluate and OpenCursor: EvaluateNode plus
+  // the verification pass, counted as one query and timed as one index.evaluate.
+  Result<Bitmap> RunQuery(const QueryExpr& query, const Bitmap& scope,
+                          const DirResolver* resolve_dir) const;
 
   Tokenizer tokenizer_;
   std::map<std::string, TermId> dictionary_;     // term -> id (ordered: prefix scans)

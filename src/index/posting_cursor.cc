@@ -2,28 +2,6 @@
 
 namespace hac {
 
-uint32_t SpanCursor::SeekGE(uint32_t target) {
-  if (pos_ >= size_) {
-    return value_ = kCursorEnd;
-  }
-  if (data_[pos_] >= target) {
-    return value_ = data_[pos_];
-  }
-  // Gallop: double the step until the probe lands at or past the target, then
-  // binary-search the overshoot window. data_[pos_] < target here, so the answer
-  // (if any) lies in (pos_, pos_ + step].
-  size_t lo = pos_;
-  size_t step = 1;
-  while (lo + step < size_ && data_[lo + step] < target) {
-    lo += step;
-    step *= 2;
-  }
-  const size_t hi = std::min(size_, lo + step + 1);
-  pos_ = static_cast<size_t>(
-      std::lower_bound(data_ + lo + 1, data_ + hi, target) - data_);
-  return value_ = pos_ < size_ ? data_[pos_] : kCursorEnd;
-}
-
 uint32_t BitmapCursor::SeekGE(uint32_t target) {
   const std::vector<uint64_t>& words = bm_.words();
   size_t w = target / 64;
@@ -39,68 +17,6 @@ uint32_t BitmapCursor::SeekGE(uint32_t target) {
   }
   return value_ = static_cast<uint32_t>(w * 64 +
                                         static_cast<size_t>(__builtin_ctzll(word)));
-}
-
-uint32_t AndCursor::SeekGE(uint32_t target) {
-  if (primed_ && target <= value_) {
-    return value_;
-  }
-  primed_ = true;
-  uint32_t cur = target;
-  size_t agreed = 0;
-  size_t i = 0;
-  // Leapfrog: cycle over the children; any child landing past `cur` raises the
-  // bar and resets the agreement count. All children agreeing means a match.
-  while (agreed < children_.size()) {
-    const uint32_t v = children_[i]->SeekGE(cur);
-    if (v == kCursorEnd) {
-      return value_ = kCursorEnd;
-    }
-    if (v > cur) {
-      cur = v;
-      agreed = 1;
-    } else {
-      ++agreed;
-    }
-    i = (i + 1) % children_.size();
-  }
-  return value_ = cur;
-}
-
-uint32_t OrCursor::SeekGE(uint32_t target) {
-  if (primed_ && target <= value_) {
-    return value_;
-  }
-  primed_ = true;
-  uint32_t best = kCursorEnd;
-  for (const PostingCursorPtr& child : children_) {
-    best = std::min(best, child->SeekGE(target));
-  }
-  return value_ = best;
-}
-
-uint32_t DiffCursor::SeekGE(uint32_t target) {
-  if (primed_ && target <= value_) {
-    return value_;
-  }
-  primed_ = true;
-  uint32_t v = base_->SeekGE(target);
-  while (v != kCursorEnd && minus_->SeekGE(v) == v) {
-    v = base_->SeekGE(v + 1);
-  }
-  return value_ = v;
-}
-
-uint32_t FilterCursor::SeekGE(uint32_t target) {
-  if (primed_ && target <= value_) {
-    return value_;
-  }
-  primed_ = true;
-  uint32_t v = inner_->SeekGE(target);
-  while (v != kCursorEnd && !keep_(v)) {
-    v = inner_->SeekGE(v + 1);
-  }
-  return value_ = v;
 }
 
 }  // namespace hac

@@ -14,6 +14,9 @@ namespace hac {
 
 namespace {
 
+// Most queued mutations the writer coalesces into one BatchScope.
+constexpr size_t kMaxWriteBatch = 64;
+
 ServerResponse ErrorResponse(Error e) {
   ServerResponse r;
   r.error = std::move(e);
@@ -264,7 +267,7 @@ void HacService::WriterLoop() {
     batch.push_back(std::move(*first));
     // Drain whatever else is already queued, up to the batch cap: these mutations
     // were issued concurrently, so one BatchScope (one propagation pass) covers them.
-    while (batch.size() < std::max<size_t>(1, options_.max_write_batch)) {
+    while (batch.size() < kMaxWriteBatch) {
       auto next = write_queue_.TryPop();
       if (!next.has_value()) {
         break;

@@ -52,7 +52,6 @@ struct ServiceOptions {
   size_t read_workers = 4;
   size_t max_read_queue = 256;   // admitted-but-not-started read requests
   size_t max_write_queue = 256;  // queued write requests
-  size_t max_write_batch = 64;   // mutations coalesced into one BatchScope
   // Per-class queue deadlines; a request older than this when dequeued is shed with
   // kOverloaded. Zero disables the deadline for that class.
   std::chrono::milliseconds read_queue_timeout{2000};

@@ -81,6 +81,40 @@ TEST_F(HacAttrCacheTest, TruncateInvalidates) {
   EXPECT_EQ(fs_.StatPath("/f").value().size, 0u);
 }
 
+TEST_F(HacAttrCacheTest, DirectoryStatFollowsEntriesAndLinks) {
+  // A directory's size and mtime change with every entry and transient link, and
+  // none of those changes invalidates by inode: Stat must never serve a stale one.
+  auto expect_fresh = [this](const std::string& dir, uint64_t size) {
+    auto st = fs_.StatPath(dir);
+    auto lst = fs_.LstatPath(dir);
+    ASSERT_TRUE(st.ok() && lst.ok()) << dir;
+    EXPECT_EQ(st.value().size, size) << dir;
+    EXPECT_EQ(st.value().size, lst.value().size) << dir;
+    EXPECT_EQ(st.value().mtime, lst.value().mtime) << dir;
+  };
+  ASSERT_TRUE(fs_.Mkdir("/d").ok());
+  ASSERT_TRUE(fs_.WriteFile("/d/a.txt", "fingerprint ridge").ok());
+  ASSERT_TRUE(fs_.WriteFile("/d/b.txt", "fingerprint pixel").ok());
+  expect_fresh("/d", 2);
+  ASSERT_TRUE(fs_.Mkdir("/d/sub").ok());
+  expect_fresh("/d", 3);
+  ASSERT_TRUE(fs_.WriteFile("/d/c.txt", "fingerprint ridge").ok());
+  expect_fresh("/d", 4);
+  ASSERT_TRUE(fs_.Rename("/d/c.txt", "/d/e.txt").ok());
+  expect_fresh("/d", 4);
+  ASSERT_TRUE(fs_.Unlink("/d/e.txt").ok());
+  expect_fresh("/d", 3);
+
+  ASSERT_TRUE(fs_.Reindex().ok());
+  ASSERT_TRUE(fs_.SMkdir("/fp", "fingerprint").ok());
+  expect_fresh("/fp", 2);
+  ASSERT_TRUE(fs_.WriteFile("/d/x.txt", "fingerprint ridge").ok());
+  ASSERT_TRUE(fs_.Reindex().ok());
+  expect_fresh("/fp", 3);  // the reindex added a transient link
+  ASSERT_TRUE(fs_.SetQuery("/fp", "fingerprint AND pixel").ok());
+  expect_fresh("/fp", 1);  // the narrower query removed two
+}
+
 TEST_F(HacAttrCacheTest, StatOfSymlinkTargetSharesCacheEntry) {
   ASSERT_TRUE(fs_.Symlink("/f", "/l").ok());
   uint64_t h = Hits();

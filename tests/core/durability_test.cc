@@ -212,7 +212,6 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
 
   DurabilityOptions opts;
   opts.data_dir = dir;
-  opts.wal_fault = FaultSpec{};  // rows opt in below; ignore any ambient env
   size_t checkpoint_after = 0;
   size_t second_checkpoint_after = 0;
   switch (row) {
@@ -419,7 +418,6 @@ TEST(DurabilityTest, CommitFromWritesOnlyReplayableFrames) {
   const std::string dir = TestDir("ReplayableOnly");
   DurabilityOptions opts;
   opts.data_dir = dir;
-  opts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(opts);
   ASSERT_TRUE(store.ok());
   auto fs = store.value()->Recover();
@@ -450,7 +448,6 @@ TEST(DurabilityTest, CleanStopRestartReplaysNothing) {
   const std::string dir = TestDir("CleanRestart");
   DurabilityOptions opts;
   opts.data_dir = dir;
-  opts.wal_fault = FaultSpec{};
   uint64_t digest = 0;
   {
     auto store = DurableStore::Open(opts);
@@ -474,7 +471,6 @@ TEST(DurabilityTest, CheckpointsPruneToTwoGenerations) {
   const std::string dir = TestDir("Prune");
   DurabilityOptions opts;
   opts.data_dir = dir;
-  opts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(opts);
   ASSERT_TRUE(store.ok());
   auto fs = store.value()->Recover();
@@ -496,7 +492,6 @@ TEST(DurabilityTest, ShouldCheckpointTracksThresholds) {
   opts.data_dir = dir;
   opts.checkpoint_interval_records = 3;
   opts.checkpoint_interval_bytes = 0;
-  opts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(opts);
   ASSERT_TRUE(store.ok());
   auto fs = store.value()->Recover();

@@ -203,8 +203,10 @@ TEST(SpaceAccountingTest, MetadataGrowsWithDirectoriesAndQueries) {
   EXPECT_GT(with_dirs, base);
   ASSERT_TRUE(fs.SetQuery("/d0", "fingerprint AND ridge").ok());
   EXPECT_GT(fs.MetadataSizeBytes(), with_dirs);
-  // Populate the shared attribute cache so the per-process footprint is visible.
-  ASSERT_TRUE(fs.StatPath("/d0").ok());
+  // Populate the shared attribute cache (it holds regular files) so the per-process
+  // footprint is visible.
+  ASSERT_TRUE(fs.WriteFile("/d1/f.txt", "ridge").ok());
+  ASSERT_TRUE(fs.StatPath("/d1/f.txt").ok());
   EXPECT_GT(fs.SharedMemoryBytesPerProcess(), 0u);
 }
 

@@ -95,6 +95,30 @@ TEST_F(RenameSemanticsTest, MoveSemanticDirUnderItsOwnResultSourceIsFine) {
   EXPECT_TRUE(report.Clean()) << report.ToString();
 }
 
+TEST_F(RenameSemanticsTest, LinkMovedNextToALinkOfItsDocPinsTheDoc) {
+  // Moving a link into a directory that already links its doc pins the doc there, as
+  // a symlink to it would: the existing link is promoted and the arriving link is a
+  // plain alias. Left transient, the doc would sit beside a permanent alias of itself
+  // and the scope audit (C4) would flag the directory.
+  ASSERT_TRUE(fs_.SMkdir("/fp", "fingerprint").ok());
+  ASSERT_TRUE(fs_.SMkdir("/ridge", "ridge").ok());
+  ASSERT_TRUE(fs_.Rename("/ridge/a.txt", "/fp/a_moved.txt").ok());
+  auto classes = fs_.GetLinkClasses("/fp");
+  ASSERT_TRUE(classes.ok());
+  using Links = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(classes.value().permanent,
+            (Links{{"a.txt", "/data/a.txt"}, {"a_moved.txt", "/data/a.txt"}}));
+  EXPECT_EQ(classes.value().transient, (Links{{"b.txt", "/data/b.txt"}}));
+  ASSERT_TRUE(fs_.Reindex().ok());
+  FsckReport report = RunFsck(fs_);
+  EXPECT_TRUE(report.Clean()) << report.ToString();
+  // Pinned: a query that no longer selects the doc keeps it.
+  ASSERT_TRUE(fs_.SetQuery("/fp", "murder").ok());
+  EXPECT_EQ(LinkCount(fs_, "/fp"), 3u);
+  report = RunFsck(fs_);
+  EXPECT_TRUE(report.Clean()) << report.ToString();
+}
+
 TEST_F(RenameSemanticsTest, RenameDirectoryWithOpenDescriptorInside) {
   ASSERT_TRUE(fs_.MkdirAll("/d").ok());
   ASSERT_TRUE(fs_.WriteFile("/d/f.txt", "hello").ok());

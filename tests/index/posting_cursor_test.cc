@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "src/index/inverted_index.h"
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 
 namespace hac {
 namespace {
@@ -21,67 +21,6 @@ std::vector<uint32_t> Drain(PostingCursor& c) {
     out.push_back(v);
   }
   return out;
-}
-
-PostingCursorPtr Vec(std::vector<uint32_t> docs) {
-  return std::make_unique<VectorCursor>(std::move(docs));
-}
-
-TEST(SpanCursorTest, DrainsEntireList) {
-  std::vector<uint32_t> docs{1, 4, 9, 100, 4096};
-  SpanCursor c(docs);
-  EXPECT_EQ(Drain(c), docs);
-  EXPECT_TRUE(c.AtEnd());
-  EXPECT_EQ(c.Next(), kEnd);  // Next past the end stays at the end
-}
-
-TEST(SpanCursorTest, SeekLandsOnFirstAtOrAbove) {
-  std::vector<uint32_t> docs{10, 20, 30, 40};
-  SpanCursor c(docs);
-  EXPECT_EQ(c.SeekGE(0), 10u);
-  EXPECT_EQ(c.SeekGE(20), 20u);
-  EXPECT_EQ(c.SeekGE(21), 30u);
-  EXPECT_EQ(c.SeekGE(40), 40u);
-  EXPECT_EQ(c.SeekGE(41), kEnd);
-}
-
-TEST(SpanCursorTest, ForwardOnlySeekBelowValueReturnsValue) {
-  std::vector<uint32_t> docs{5, 15, 25};
-  SpanCursor c(docs);
-  EXPECT_EQ(c.SeekGE(16), 25u);
-  // The contract is forward-only: seeking backwards does not rewind.
-  EXPECT_EQ(c.SeekGE(0), 25u);
-}
-
-TEST(SpanCursorTest, EmptyListIsImmediatelyExhausted) {
-  SpanCursor c(nullptr, 0);
-  EXPECT_EQ(c.SeekGE(0), kEnd);
-  EXPECT_TRUE(c.AtEnd());
-}
-
-TEST(SpanCursorTest, GallopMatchesLinearScanOnRandomWorkload) {
-  std::mt19937 rng(7);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<uint32_t> docs;
-    uint32_t v = rng() % 4;
-    const size_t n = 1 + rng() % 300;
-    for (size_t i = 0; i < n; ++i) {
-      docs.push_back(v);
-      v += 1 + rng() % 64;  // occasional large gaps exercise the gallop window
-    }
-    SpanCursor c(docs);
-    uint32_t frontier = 0;
-    for (int seek = 0; seek < 40; ++seek) {
-      frontier += rng() % 800;
-      auto it = std::lower_bound(docs.begin(), docs.end(), frontier);
-      const uint32_t expected = it == docs.end() ? kEnd : *it;
-      EXPECT_EQ(c.SeekGE(frontier), expected) << "target " << frontier;
-      if (expected == kEnd) {
-        break;
-      }
-      frontier = expected;  // keep targets monotone (forward-only contract)
-    }
-  }
 }
 
 TEST(BitmapCursorTest, MatchesBitmapIds) {
@@ -103,52 +42,11 @@ TEST(BitmapCursorTest, SeekSkipsEmptyWords) {
   EXPECT_EQ(c.Next(), kEnd);
 }
 
-TEST(AndCursorTest, Intersects) {
-  std::vector<PostingCursorPtr> kids;
-  kids.push_back(Vec({1, 2, 3, 5, 8, 13}));
-  kids.push_back(Vec({2, 3, 4, 8, 21}));
-  kids.push_back(Vec({0, 2, 8, 9, 21}));
-  AndCursor c(std::move(kids));
-  EXPECT_EQ(Drain(c), (std::vector<uint32_t>{2, 8}));
-}
-
-TEST(OrCursorTest, UnionsWithDuplicatesCollapsed) {
-  std::vector<PostingCursorPtr> kids;
-  kids.push_back(Vec({1, 5, 9}));
-  kids.push_back(Vec({1, 2, 9, 12}));
-  OrCursor c(std::move(kids));
-  EXPECT_EQ(Drain(c), (std::vector<uint32_t>{1, 2, 5, 9, 12}));
-}
-
-TEST(DiffCursorTest, SubtractsMinusFromBase) {
-  DiffCursor c(Vec({0, 1, 2, 3, 4, 5}), Vec({1, 3, 5, 7}));
-  EXPECT_EQ(Drain(c), (std::vector<uint32_t>{0, 2, 4}));
-}
-
-TEST(FilterCursorTest, KeepsOnlyAcceptedMatches) {
-  FilterCursor c(Vec({1, 2, 3, 4, 5, 6}), [](uint32_t v) { return v % 2 == 0; });
-  EXPECT_EQ(Drain(c), (std::vector<uint32_t>{2, 4, 6}));
-}
-
-TEST(CursorTreeTest, NestedCombinatorsMatchSetAlgebra) {
-  // (A ∪ B) ∩ (C − D)
-  std::vector<PostingCursorPtr> uni;
-  uni.push_back(Vec({1, 4, 7, 10}));
-  uni.push_back(Vec({2, 4, 8, 10}));
-  auto lhs = std::make_unique<OrCursor>(std::move(uni));
-  auto rhs = std::make_unique<DiffCursor>(Vec({1, 2, 4, 8, 10}), Vec({4}));
-  std::vector<PostingCursorPtr> kids;
-  kids.push_back(std::move(lhs));
-  kids.push_back(std::move(rhs));
-  AndCursor c(std::move(kids));
-  EXPECT_EQ(Drain(c), (std::vector<uint32_t>{1, 2, 8, 10}));
-}
-
 // --- cursor-vs-Evaluate equivalence over a randomized corpus -------------------
 //
-// The eager bitmap path is the oracle: for every generated query, draining the
-// cursor tree must yield exactly Evaluate()'s bitmap, ids in order. This is the
-// same ablation bench_streaming gates, shrunk to unit-test size.
+// Evaluate() is the oracle: for every generated query, draining OpenCursor must
+// yield exactly Evaluate()'s bitmap, ids in order. bench_streaming checks the same
+// property one level up (paged SearchPage against monolithic Search).
 
 class CursorEquivalenceTest : public ::testing::Test {
  protected:
@@ -233,8 +131,8 @@ TEST_F(CursorEquivalenceTest, RandomizedQueryCorpus) {
 }
 
 TEST_F(CursorEquivalenceTest, ContentVerifierAppliesLazily) {
-  // Reject every odd doc at verification time; the cursor path must apply the
-  // same two-level check Evaluate() does.
+  // Reject every odd doc at verification time; OpenCursor must apply the same
+  // two-level check Evaluate() does.
   idx_.SetContentVerifier([](DocId doc) -> Result<std::string> {
     if (doc % 2 == 1) {
       return std::string("unrelated words only");
@@ -244,6 +142,24 @@ TEST_F(CursorEquivalenceTest, ContentVerifierAppliesLazily) {
   for (const char* q : {"alpha", "alpha AND bravo", "alpha OR hotel"}) {
     EXPECT_EQ(EvalCursor(q), EvalEager(q)) << q;
   }
+}
+
+TEST_F(CursorEquivalenceTest, OpenCursorIsOneRecordedEvaluation) {
+  // OpenCursor is one evaluation, reported as Evaluate reports one: counted in
+  // hac.index.queries, timed in hac.index.query_us, and its selectivity recorded.
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Histogram& query_us = reg.GetHistogram(metric_names::kIndexQueryUs);
+  Histogram& selectivity =
+      reg.GetHistogram(metric_names::kIndexQuerySelectivityPct, "pct");
+  auto ast = ParseQuery("alpha OR bravo");
+  ASSERT_TRUE(ast.ok());
+  const uint64_t queries = idx_.Stats().queries_evaluated;
+  const uint64_t timed = query_us.Count();
+  const uint64_t recorded = selectivity.Count();
+  ASSERT_TRUE(idx_.OpenCursor(*ast.value(), scope_, nullptr).ok());
+  EXPECT_EQ(idx_.Stats().queries_evaluated, queries + 1);
+  EXPECT_EQ(query_us.Count(), timed + 1);
+  EXPECT_EQ(selectivity.Count(), recorded + 1);
 }
 
 TEST_F(CursorEquivalenceTest, PagedPullEqualsFullDrain) {

@@ -72,7 +72,6 @@ TEST(ServiceDurabilityTest, AcknowledgedWritesAreOnDiskBeforeStop) {
   const std::string dir = TestDir("AckedOnDisk");
   DurabilityOptions dopts;
   dopts.data_dir = dir;
-  dopts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(dopts);
   ASSERT_TRUE(store.ok());
   auto fs = store.value()->Recover();
@@ -143,7 +142,6 @@ TEST(ServiceDurabilityTest, CheckpointOpPersistsAnImageOnDemand) {
   const std::string dir = TestDir("CheckpointOp");
   DurabilityOptions dopts;
   dopts.data_dir = dir;
-  dopts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(dopts);
   ASSERT_TRUE(store.ok());
   auto fs = store.value()->Recover();
@@ -173,7 +171,6 @@ TEST(ServiceDurabilityTest, PolicyCheckpointTriggersAutomatically) {
   DurabilityOptions dopts;
   dopts.data_dir = dir;
   dopts.checkpoint_interval_records = 2;  // aggressively low for the test
-  dopts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(dopts);
   ASSERT_TRUE(store.ok());
   auto fs = store.value()->Recover();
@@ -210,7 +207,6 @@ TEST(ServiceDurabilityTest, SigkilledServerRecoversAllAcknowledgedOperations) {
     close(port_pipe[0]);
     DurabilityOptions dopts;
     dopts.data_dir = dir;
-    dopts.wal_fault = FaultSpec{};
     auto store = DurableStore::Open(dopts);
     if (!store.ok()) _exit(10);
     auto fs = store.value()->Recover();
@@ -284,7 +280,6 @@ TEST(ServiceDurabilityTest, SigkilledServerRecoversAllAcknowledgedOperations) {
   // --- recover the data directory in this process ---
   DurabilityOptions dopts;
   dopts.data_dir = dir;
-  dopts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(dopts);
   ASSERT_TRUE(store.ok());
   auto recovered = store.value()->Recover();

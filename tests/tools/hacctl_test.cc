@@ -116,7 +116,6 @@ std::string MakeDataDir(const std::string& name) {
   fs_std::create_directories(dir);
   DurabilityOptions dopts;
   dopts.data_dir = dir.string();
-  dopts.wal_fault = FaultSpec{};
   auto store = DurableStore::Open(dopts);
   EXPECT_TRUE(store.ok());
   auto fs = store.value()->Recover();
