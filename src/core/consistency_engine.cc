@@ -47,10 +47,7 @@ Result<void> ConsistencyEngine::NotifyScopeChanged(DirUid uid, const Bitmap* con
     return OkResult();  // persistence replay: one global pass runs at the end
   }
   if (mode_ == ConsistencyMode::kEager) {
-    if (in_pass_) {
-      return OkResult();  // the outer propagation already covers this change
-    }
-    return SyncFrom(uid);
+    return SyncFrom(uid);  // inside a pass a no-op: the outer pass covers this change
   }
   if (auto meta = host_->MetaOfUid(uid); meta.ok()) {
     ++meta.value()->scope_epoch;  // dependents' epoch sums now mismatch
@@ -91,36 +88,7 @@ Result<void> ConsistencyEngine::SyncFrom(DirUid uid) {
   if (suspended_ || in_pass_) {
     return OkResult();
   }
-  if (mode_ == ConsistencyMode::kEager) {
-    TraceSpan span(metric_names::kSpanConsistencyPass);
-    const uint64_t t0 = TraceRing::NowUs();
-    in_pass_ = true;
-    uint64_t visited = 1;
-    Result<void> status = VisitEager(uid);
-    host_->counters_.scope_propagations.Inc();
-    if (status.ok()) {
-      for (DirUid dep : host_->graph_.DependentsInTopoOrder(uid)) {
-        status = VisitEager(dep);
-        host_->counters_.scope_propagations.Inc();
-        ++visited;
-        if (!status.ok()) {
-          break;
-        }
-      }
-    }
-    in_pass_ = false;
-    GM().passes.Inc();
-    GM().pass_us.Record(TraceRing::NowUs() - t0);
-    span.Arg("origins", 1);
-    span.Arg("visited", visited);
-    return status;
-  }
-  if (batch_dirty_) {
-    host_->counters_.batch_flushes.Inc();
-    batch_dirty_ = false;
-  }
-  std::map<DirUid, Bitmap> origins = std::move(pending_origins_);
-  pending_origins_.clear();
+  std::map<DirUid, Bitmap> origins = TakePendingOrigins();
   origins[uid];  // an explicit sync never short-circuits the target itself
   return RunPass(std::move(origins), /*full=*/false);
 }
@@ -129,33 +97,7 @@ Result<void> ConsistencyEngine::PropagateAll() {
   if (suspended_ || in_pass_) {
     return OkResult();
   }
-  if (mode_ == ConsistencyMode::kEager) {
-    TraceSpan span(metric_names::kSpanConsistencyPass);
-    const uint64_t t0 = TraceRing::NowUs();
-    in_pass_ = true;
-    uint64_t visited = 0;
-    Result<void> status = OkResult();
-    for (DirUid uid : host_->graph_.FullTopoOrder()) {
-      status = VisitEager(uid);
-      host_->counters_.scope_propagations.Inc();
-      ++visited;
-      if (!status.ok()) {
-        break;
-      }
-    }
-    in_pass_ = false;
-    GM().passes.Inc();
-    GM().pass_us.Record(TraceRing::NowUs() - t0);
-    span.Arg("visited", visited);
-    return status;
-  }
-  if (batch_dirty_) {
-    host_->counters_.batch_flushes.Inc();
-    batch_dirty_ = false;
-  }
-  std::map<DirUid, Bitmap> origins = std::move(pending_origins_);
-  pending_origins_.clear();
-  return RunPass(std::move(origins), /*full=*/true);
+  return RunPass(TakePendingOrigins(), /*full=*/true);
 }
 
 Result<void> ConsistencyEngine::EndBatch() {
@@ -169,19 +111,21 @@ Result<void> ConsistencyEngine::EndBatch() {
 }
 
 Result<void> ConsistencyEngine::Flush() {
-  if (suspended_ || in_pass_ || mode_ == ConsistencyMode::kEager) {
-    return OkResult();  // eager never defers anything
-  }
-  if (pending_origins_.empty()) {
+  // The eager engine records no origins: it propagates inside NotifyScopeChanged.
+  if (suspended_ || in_pass_ || pending_origins_.empty()) {
     return OkResult();
   }
+  return RunPass(TakePendingOrigins(), /*full=*/false);
+}
+
+std::map<DirUid, Bitmap> ConsistencyEngine::TakePendingOrigins() {
   if (batch_dirty_) {
     host_->counters_.batch_flushes.Inc();
     batch_dirty_ = false;
   }
   std::map<DirUid, Bitmap> origins = std::move(pending_origins_);
   pending_origins_.clear();
-  return RunPass(std::move(origins), /*full=*/false);
+  return origins;
 }
 
 Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool full) {
@@ -193,16 +137,16 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
   const uint64_t short_circuits_before = counters.short_circuit_propagations.Value();
   in_pass_ = true;
   ++gen_;
-  std::vector<std::vector<DirUid>> levels;
+  std::vector<DirUid> order;
   if (full) {
-    levels = host_->graph_.FullLevels();
+    order = host_->graph_.FullTopoOrder();
   } else {
     std::vector<DirUid> sources;
     sources.reserve(origins.size());
     for (const auto& [uid, delta] : origins) {
       sources.push_back(uid);
     }
-    levels = host_->graph_.AffectedInLevels(sources);
+    order = host_->graph_.AffectedInTopoOrder(sources);
   }
   // How each directory's contents changed within THIS pass, seeded with the origins'
   // mutation deltas. dir() dependents re-evaluate exactly over these docs.
@@ -214,17 +158,14 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
   }
   size_t visited = 0;
   Result<void> status = OkResult();
-  for (const auto& level : levels) {
-    for (DirUid uid : level) {
-      status = VisitIncremental(uid, origins, &contents_delta);
-      if (!status.ok()) {
-        break;
-      }
-      ++visited;
-    }
+  for (DirUid uid : order) {
+    status = mode_ == ConsistencyMode::kEager
+                 ? VisitEager(uid)
+                 : VisitIncremental(uid, origins, &contents_delta);
     if (!status.ok()) {
       break;
     }
+    ++visited;
   }
   in_pass_ = false;
   GM().passes.Inc();
@@ -237,9 +178,12 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
            counters.short_circuit_propagations.Value() - short_circuits_before);
   if (!status.ok()) {
     // Hand the unconsumed deltas back so the next flush retries; dropping them would
-    // let downstream caches go quietly stale.
-    for (auto& [uid, delta] : origins) {
-      pending_origins_[uid] |= delta;
+    // let downstream caches go quietly stale. Eager visits cache nothing, so a failed
+    // eager pass leaves nothing pending.
+    if (mode_ == ConsistencyMode::kIncremental) {
+      for (auto& [uid, delta] : origins) {
+        pending_origins_[uid] |= delta;
+      }
     }
     return status;
   }
@@ -252,6 +196,7 @@ Result<void> ConsistencyEngine::RunPass(std::map<DirUid, Bitmap> origins, bool f
 // ---------------------------------------------------------------------------
 
 Result<void> ConsistencyEngine::VisitEager(DirUid uid) {
+  host_->counters_.scope_propagations.Inc();  // every eager visit propagates
   HAC_ASSIGN_OR_RETURN(DirMetadata * meta, host_->MetaOfUid(uid));
   if (!meta->IsSemantic()) {
     return OkResult();  // syntactic directories own no transient links

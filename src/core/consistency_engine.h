@@ -28,10 +28,12 @@
 // after any interleaving of passes still sees exactly the docs that changed since its
 // own last visit. The log is compacted once every cached directory has caught up.
 //
-// An incremental pass visits the affected subgraph level by level
-// (DependencyGraph::AffectedInLevels): a directory's level is its longest dependency
-// path from a source, and each level is visited in ascending-uid order, so the order of
-// link-table edits — and with it link names and inode ids — is deterministic.
+// Both strategies share one pass loop (RunPass) over one topological order
+// (DependencyGraph::AffectedInTopoOrder / FullTopoOrder): a directory comes after its
+// in-set dependencies, ordered by its longest dependency path from a source and then by
+// ascending uid. The order of link-table edits — and with it link names and inode ids —
+// is therefore deterministic, and a pass from the same sources visits the same
+// directories in the same order under either engine; only the visit differs.
 #ifndef HAC_CORE_CONSISTENCY_ENGINE_H_
 #define HAC_CORE_CONSISTENCY_ENGINE_H_
 
@@ -106,9 +108,15 @@ class ConsistencyEngine {
   size_t PendingOriginCount() const { return pending_origins_.size(); }
 
  private:
-  // One topological pass. `origins` maps each source directory to the contents delta
-  // its mutation produced. `full` visits the whole DAG instead of the affected set.
+  // The one pass loop of both engines. `origins` maps each source directory to the
+  // contents delta its mutation produced. `full` visits the whole DAG instead of the
+  // affected set. Each directory in topological order gets VisitEager or
+  // VisitIncremental according to the mode.
   Result<void> RunPass(std::map<DirUid, Bitmap> origins, bool full);
+
+  // Takes the batched origins for a pass, counting the batch flush if a batch recorded
+  // any of them.
+  std::map<DirUid, Bitmap> TakePendingOrigins();
 
   // Paper-faithful visit: full evaluation, every permanent link re-pointed if stale.
   Result<void> VisitEager(DirUid uid);

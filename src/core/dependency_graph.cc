@@ -1,7 +1,7 @@
 #include "src/core/dependency_graph.h"
 
 #include <algorithm>
-#include <queue>
+#include <cstddef>
 
 namespace hac {
 
@@ -100,12 +100,6 @@ std::vector<DirUid> DependencyGraph::DirectDependentsOf(DirUid uid) const {
   return out;
 }
 
-std::vector<DirUid> DependencyGraph::DependentsInTopoOrder(DirUid uid) const {
-  std::vector<DirUid> order = AffectedInTopoOrder({uid});
-  order.erase(std::remove(order.begin(), order.end(), uid), order.end());
-  return order;
-}
-
 std::unordered_set<DirUid> DependencyGraph::AffectedSet(
     const std::vector<DirUid>& sources) const {
   // The sources plus their dependent closure.
@@ -134,71 +128,26 @@ std::unordered_set<DirUid> DependencyGraph::AffectedSet(
 
 std::vector<DirUid> DependencyGraph::AffectedInTopoOrder(
     const std::vector<DirUid>& sources) const {
-  std::unordered_set<DirUid> affected = AffectedSet(sources);
-  // Kahn over the affected subgraph; only edges internal to it count.
-  std::unordered_map<DirUid, size_t> in_degree;
-  for (DirUid node : affected) {
-    size_t d = 0;
-    for (DirUid dep : deps_.at(node)) {
-      if (affected.count(dep) != 0) {
-        ++d;
-      }
-    }
-    in_degree[node] = d;
-  }
-  // Deterministic order: smallest uid first among ready nodes.
-  std::priority_queue<DirUid, std::vector<DirUid>, std::greater<>> ready;
-  for (const auto& [node, d] : in_degree) {
-    if (d == 0) {
-      ready.push(node);
-    }
-  }
-  std::vector<DirUid> order;
-  order.reserve(affected.size());
-  while (!ready.empty()) {
-    DirUid cur = ready.top();
-    ready.pop();
-    order.push_back(cur);
-    for (DirUid next : dependents_.at(cur)) {
-      auto it = in_degree.find(next);
-      if (it != in_degree.end() && --it->second == 0) {
-        ready.push(next);
-      }
-    }
-  }
-  return order;
+  return TopoOrderOf(AffectedSet(sources));
 }
 
 std::vector<DirUid> DependencyGraph::FullTopoOrder() const {
-  std::unordered_map<DirUid, size_t> in_degree;
+  std::unordered_set<DirUid> all;
+  all.reserve(deps_.size());
   for (const auto& [node, node_deps] : deps_) {
-    in_degree[node] = node_deps.size();
+    (void)node_deps;
+    all.insert(node);
   }
-  std::priority_queue<DirUid, std::vector<DirUid>, std::greater<>> ready;
-  for (const auto& [node, d] : in_degree) {
-    if (d == 0) {
-      ready.push(node);
-    }
-  }
-  std::vector<DirUid> order;
-  order.reserve(deps_.size());
-  while (!ready.empty()) {
-    DirUid cur = ready.top();
-    ready.pop();
-    order.push_back(cur);
-    for (DirUid next : dependents_.at(cur)) {
-      if (--in_degree[next] == 0) {
-        ready.push(next);
-      }
-    }
-  }
-  return order;
+  return TopoOrderOf(all);
 }
 
-std::vector<std::vector<DirUid>> DependencyGraph::LevelsOf(
+std::vector<DirUid> DependencyGraph::TopoOrderOf(
     const std::unordered_set<DirUid>& nodes) const {
+  // Only edges internal to `nodes` count.
   std::unordered_map<DirUid, size_t> in_degree;
   in_degree.reserve(nodes.size());
+  std::vector<DirUid> order;
+  order.reserve(nodes.size());
   for (DirUid node : nodes) {
     size_t d = 0;
     for (DirUid dep : deps_.at(node)) {
@@ -207,45 +156,27 @@ std::vector<std::vector<DirUid>> DependencyGraph::LevelsOf(
       }
     }
     in_degree[node] = d;
-  }
-  std::vector<DirUid> current;
-  for (const auto& [node, d] : in_degree) {
     if (d == 0) {
-      current.push_back(node);
+      order.push_back(node);
     }
   }
-  std::sort(current.begin(), current.end());
-  std::vector<std::vector<DirUid>> levels;
-  while (!current.empty()) {
-    std::vector<DirUid> next;
-    for (DirUid cur : current) {
-      for (DirUid dep : dependents_.at(cur)) {
-        auto it = in_degree.find(dep);
+  // order[level_begin, level_end) is the current level; releasing its dependents
+  // appends the next one.
+  size_t level_begin = 0;
+  while (level_begin < order.size()) {
+    const size_t level_end = order.size();
+    std::sort(order.begin() + static_cast<std::ptrdiff_t>(level_begin), order.end());
+    for (size_t i = level_begin; i < level_end; ++i) {
+      for (DirUid next : dependents_.at(order[i])) {
+        auto it = in_degree.find(next);
         if (it != in_degree.end() && --it->second == 0) {
-          next.push_back(dep);
+          order.push_back(next);
         }
       }
     }
-    std::sort(next.begin(), next.end());
-    levels.push_back(std::move(current));
-    current = std::move(next);
+    level_begin = level_end;
   }
-  return levels;
-}
-
-std::vector<std::vector<DirUid>> DependencyGraph::AffectedInLevels(
-    const std::vector<DirUid>& sources) const {
-  return LevelsOf(AffectedSet(sources));
-}
-
-std::vector<std::vector<DirUid>> DependencyGraph::FullLevels() const {
-  std::unordered_set<DirUid> all;
-  all.reserve(deps_.size());
-  for (const auto& [node, node_deps] : deps_) {
-    (void)node_deps;
-    all.insert(node);
-  }
-  return LevelsOf(all);
+  return order;
 }
 
 size_t DependencyGraph::EdgeCount() const {

@@ -2,9 +2,12 @@
 // query-result depends on Y (X's parent, or a dir(Y) reference inside X's query).
 //
 // The graph must stay a DAG; SetDependencies rejects updates that would close a cycle.
-// Updates after a change at `uid` run over DependentsInTopoOrder(uid), a topological
-// order of everything reachable from `uid` (Kahn's algorithm restricted to the affected
-// subgraph) — the paper's "order obtained from a topological sort".
+// Updates after a change run over AffectedInTopoOrder(sources), a topological order of
+// everything reachable from the changed directories — the paper's "order obtained from
+// a topological sort". One Kahn sort produces every order the graph hands out: a node
+// comes after all its in-set dependencies, ordered first by its longest in-set
+// dependency path and then by ascending uid, so the order (and with it link names and
+// inode ids) is deterministic and the same for both consistency engines.
 #ifndef HAC_CORE_DEPENDENCY_GRAPH_H_
 #define HAC_CORE_DEPENDENCY_GRAPH_H_
 
@@ -36,30 +39,15 @@ class DependencyGraph {
   // Direct dependents of `uid` (who reads from it).
   std::vector<DirUid> DirectDependentsOf(DirUid uid) const;
 
-  // All nodes reachable from `uid` along dependent edges, in topological order,
-  // excluding `uid` itself.
-  std::vector<DirUid> DependentsInTopoOrder(DirUid uid) const;
-
   // The union of `sources` and everything reachable from any of them along dependent
-  // edges, in topological order. This is the affected set of a batched flush: one
-  // pass over AffectedInTopoOrder replaces one DependentsInTopoOrder pass per edit.
+  // edges, in topological order: the affected set of one propagation pass. Sources
+  // that are not nodes are ignored.
   std::vector<DirUid> AffectedInTopoOrder(const std::vector<DirUid>& sources) const;
 
-  // Topological order of the whole graph (dependencies first).
+  // Topological order of the whole graph (Reindex / persistence-load passes). Nodes on
+  // a cycle never become ready, so a result shorter than NodeCount() means the graph
+  // is not a DAG (hacfsck's acyclicity check).
   std::vector<DirUid> FullTopoOrder() const;
-
-  // Levelled schedule of the affected subgraph: the same nodes AffectedInTopoOrder
-  // returns, grouped into topological levels. A node's level is the longest
-  // dependency path to it WITHIN the affected set, so every node's in-set
-  // dependencies sit in strictly earlier levels and nodes sharing a level are
-  // pairwise independent. Each level is sorted ascending and the flattened schedule
-  // is a valid topological order (the canonical visit order of the incremental
-  // consistency engine's passes).
-  std::vector<std::vector<DirUid>> AffectedInLevels(
-      const std::vector<DirUid>& sources) const;
-
-  // Levelled schedule of the whole graph (Reindex / persistence-load passes).
-  std::vector<std::vector<DirUid>> FullLevels() const;
 
   size_t NodeCount() const { return deps_.size(); }
   size_t EdgeCount() const;
@@ -72,9 +60,9 @@ class DependencyGraph {
   // Sources plus their dependent closure (the affected set of a pass).
   std::unordered_set<DirUid> AffectedSet(const std::vector<DirUid>& sources) const;
 
-  // Kahn's algorithm over the subgraph induced by `nodes`, emitting whole ready
-  // levels (each sorted ascending) instead of one node at a time.
-  std::vector<std::vector<DirUid>> LevelsOf(const std::unordered_set<DirUid>& nodes) const;
+  // Kahn's algorithm over the subgraph induced by `nodes`, taking whole ready levels
+  // at a time and sorting each level ascending (the order described above).
+  std::vector<DirUid> TopoOrderOf(const std::unordered_set<DirUid>& nodes) const;
 
   std::unordered_map<DirUid, std::unordered_set<DirUid>> deps_;        // uid -> reads-from
   std::unordered_map<DirUid, std::unordered_set<DirUid>> dependents_;  // uid -> read-by

@@ -262,10 +262,7 @@ void DurableStore::EncodeFrame(uint64_t lsn, const JournalRecord& rec,
                                std::vector<uint8_t>& out) {
   ByteWriter payload;
   payload.PutVarint(lsn);
-  payload.PutU8(static_cast<uint8_t>(rec.op));
-  payload.PutVarint(rec.subject);
-  payload.PutString(rec.a);
-  payload.PutString(rec.b);
+  EncodeJournalRecord(rec.op, rec.subject, rec.a, rec.b, payload);
   const std::vector<uint8_t>& body = payload.buffer();
   ByteWriter header;
   header.PutU32(static_cast<uint32_t>(body.size()));
@@ -315,20 +312,11 @@ std::vector<DurableStore::DecodedFrame> DurableStore::DecodeFrames(
     ByteReader b(body.data(), body.size());
     DecodedFrame frame;
     auto lsn = b.GetVarint();
-    auto op = b.GetU8();
-    auto subject = op.ok() ? b.GetVarint() : Result<uint64_t>(op.error());
-    auto a = subject.ok() ? b.GetString() : Result<std::string>(subject.error());
-    auto bb = a.ok() ? b.GetString() : Result<std::string>(a.error());
-    if (!lsn.ok() || !bb.ok() || op.value() == 0 ||
-        op.value() > static_cast<uint8_t>(kMaxJournalOp)) {
+    if (!lsn.ok() || !DecodeJournalRecord(b, frame.record).ok()) {
       stop("malformed frame payload at frame " + std::to_string(out.size()));
       break;
     }
     frame.lsn = lsn.value();
-    frame.record.op = static_cast<JournalOp>(op.value());
-    frame.record.subject = subject.value();
-    frame.record.a = std::move(a).value();
-    frame.record.b = std::move(bb).value();
     out.push_back(std::move(frame));
   }
   return out;

@@ -190,12 +190,9 @@ class HacFileSystem final : public FsInterface {
   const UidMap& uid_map() const { return uid_map_; }
   const DependencyGraph& dependency_graph() const { return graph_; }
   const MetadataJournal& journal() const { return journal_; }
-  // Drains up to `max_records` buffered journal records (0 = all): the durability
-  // layer moves them into the on-disk WAL at each group commit, bounding the
-  // in-memory buffer.
-  std::vector<JournalRecord> DrainJournal(size_t max_records = 0) {
-    return journal_.Drain(max_records);
-  }
+  // Drains every buffered journal record: the durability layer moves them into the
+  // on-disk WAL at each group commit, bounding the in-memory buffer.
+  std::vector<JournalRecord> DrainJournal() { return journal_.Drain(); }
   // Drops the buffered journal records undecoded. A service with no durable store
   // calls this after each write batch, so memory does not grow with every byte ever
   // written.

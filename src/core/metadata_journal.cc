@@ -30,13 +30,29 @@ bool IsReplayableOp(JournalOp op) {
   return false;
 }
 
+void EncodeJournalRecord(JournalOp op, uint64_t subject, std::string_view a,
+                         std::string_view b, ByteWriter& out) {
+  out.PutU8(static_cast<uint8_t>(op));
+  out.PutVarint(subject);
+  out.PutString(a);
+  out.PutString(b);
+}
+
+Result<void> DecodeJournalRecord(ByteReader& in, JournalRecord& rec) {
+  HAC_ASSIGN_OR_RETURN(uint8_t op, in.GetU8());
+  if (op == 0 || op > static_cast<uint8_t>(kMaxJournalOp)) {
+    return Error(ErrorCode::kCorrupt, "journal: unknown op " + std::to_string(op));
+  }
+  rec.op = static_cast<JournalOp>(op);
+  HAC_ASSIGN_OR_RETURN(rec.subject, in.GetVarint());
+  HAC_RETURN_IF_ERROR(in.GetStringInto(rec.a));
+  return in.GetStringInto(rec.b);
+}
+
 void MetadataJournal::Append(JournalOp op, uint64_t subject, std::string_view a,
                              std::string_view b) {
   ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(op));
-  w.PutVarint(subject);
-  w.PutString(a);
-  w.PutString(b);
+  EncodeJournalRecord(op, subject, a, b, w);
   const std::vector<uint8_t>& rec = w.buffer();
   ByteWriter frame;
   frame.PutVarint(rec.size());
@@ -51,40 +67,24 @@ Result<std::vector<JournalRecord>> MetadataJournal::Decode() const {
   while (!r.AtEnd()) {
     HAC_ASSIGN_OR_RETURN(uint64_t len, r.GetVarint());
     (void)len;
-    JournalRecord rec;
-    HAC_ASSIGN_OR_RETURN(uint8_t op, r.GetU8());
-    rec.op = static_cast<JournalOp>(op);
-    HAC_ASSIGN_OR_RETURN(rec.subject, r.GetVarint());
-    HAC_ASSIGN_OR_RETURN(rec.a, r.GetString());
-    HAC_ASSIGN_OR_RETURN(rec.b, r.GetString());
-    out.push_back(std::move(rec));
+    HAC_RETURN_IF_ERROR(DecodeJournalRecord(r, out.emplace_back()));
   }
   return out;
 }
 
-std::vector<JournalRecord> MetadataJournal::Drain(size_t max_records) {
+std::vector<JournalRecord> MetadataJournal::Drain() {
   std::vector<JournalRecord> out;
   ByteReader r(buf_);
   size_t consumed = 0;
-  while (!r.AtEnd() && (max_records == 0 || out.size() < max_records)) {
-    // The buffer only ever holds frames Append() wrote, so a decode failure here
+  while (!r.AtEnd()) {
+    // The buffer only ever holds records Append() wrote, so a decode failure here
     // means memory corruption; stop draining and leave the tail untouched.
     auto len = r.GetVarint();
     if (!len.ok() || len.value() > r.remaining()) break;
-    JournalRecord rec;
-    auto op = r.GetU8();
-    if (!op.ok()) break;
-    rec.op = static_cast<JournalOp>(op.value());
-    auto subject = r.GetVarint();
-    if (!subject.ok()) break;
-    rec.subject = subject.value();
-    auto a = r.GetString();
-    if (!a.ok()) break;
-    rec.a = std::move(a).value();
-    auto b = r.GetString();
-    if (!b.ok()) break;
-    rec.b = std::move(b).value();
-    out.push_back(std::move(rec));
+    if (!DecodeJournalRecord(r, out.emplace_back()).ok()) {
+      out.pop_back();
+      break;
+    }
     consumed = buf_.size() - r.remaining();
   }
   buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(consumed));

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/support/serializer.h"
@@ -84,6 +85,16 @@ struct JournalRecord {
   std::string b;
 };
 
+// The record layout, shared by the journal buffer and the WAL: a WAL frame's payload
+// is the frame's LSN varint followed by exactly these bytes (docs/DURABILITY.md).
+//
+//   u8 op | varint subject | string a | string b
+void EncodeJournalRecord(JournalOp op, uint64_t subject, std::string_view a,
+                         std::string_view b, ByteWriter& out);
+// Reads one record into `rec`. kCorrupt if it is truncated or its op is outside
+// 1..kMaxJournalOp.
+Result<void> DecodeJournalRecord(ByteReader& in, JournalRecord& rec);
+
 class MetadataJournal {
  public:
   void Append(JournalOp op, uint64_t subject, std::string_view a = {},
@@ -93,10 +104,10 @@ class MetadataJournal {
   // Drain()/Clear() (tests replay this to validate bookkeeping).
   Result<std::vector<JournalRecord>> Decode() const;
 
-  // Bounded drain: decodes and removes up to `max_records` of the oldest buffered
-  // records (0 = all). The durability layer calls this at each group commit, so a
-  // long-running server's buffer holds only the records not yet on disk.
-  std::vector<JournalRecord> Drain(size_t max_records = 0);
+  // Decodes and removes every buffered record. The durability layer calls this at
+  // each group commit, so a long-running server's buffer holds only the records not
+  // yet on disk.
+  std::vector<JournalRecord> Drain();
 
   size_t SizeBytes() const { return buf_.size(); }
   // Records currently buffered (appended and not yet drained or cleared).

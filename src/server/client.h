@@ -17,7 +17,7 @@
 
 namespace hac {
 
-class ServiceClient : public RequestClient {
+class ServiceClient : public ClientApi {
  public:
   explicit ServiceClient(HacService& service);
   ~ServiceClient() override;

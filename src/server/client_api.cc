@@ -58,7 +58,7 @@ Result<std::vector<std::string>> ClientApi::SearchPaged(const std::string& query
   return out;
 }
 
-Result<void> RequestClient::VoidCall(ServerRequest req) {
+Result<void> ClientApi::VoidCall(ServerRequest req) {
   ServerResponse resp = Call(std::move(req));
   if (!resp.ok()) {
     return resp.error;
@@ -66,7 +66,7 @@ Result<void> RequestClient::VoidCall(ServerRequest req) {
   return OkResult();
 }
 
-Result<std::vector<DirEntry>> RequestClient::ReadDir(const std::string& path) {
+Result<std::vector<DirEntry>> ClientApi::ReadDir(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kReadDir;
   req.path = path;
@@ -77,7 +77,7 @@ Result<std::vector<DirEntry>> RequestClient::ReadDir(const std::string& path) {
   return std::move(resp.entries);
 }
 
-Result<Stat> RequestClient::StatPath(const std::string& path) {
+Result<Stat> ClientApi::StatPath(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kStat;
   req.path = path;
@@ -88,7 +88,7 @@ Result<Stat> RequestClient::StatPath(const std::string& path) {
   return resp.st;
 }
 
-Result<Stat> RequestClient::LstatPath(const std::string& path) {
+Result<Stat> ClientApi::LstatPath(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kLstat;
   req.path = path;
@@ -99,7 +99,7 @@ Result<Stat> RequestClient::LstatPath(const std::string& path) {
   return resp.st;
 }
 
-Result<Fd> RequestClient::Open(const std::string& path, uint32_t flags) {
+Result<Fd> ClientApi::Open(const std::string& path, uint32_t flags) {
   ServerRequest req;
   req.op = ServerOp::kOpen;
   req.path = path;
@@ -111,14 +111,14 @@ Result<Fd> RequestClient::Open(const std::string& path, uint32_t flags) {
   return resp.fd;
 }
 
-Result<void> RequestClient::Close(Fd fd) {
+Result<void> ClientApi::Close(Fd fd) {
   ServerRequest req;
   req.op = ServerOp::kClose;
   req.fd = fd;
   return VoidCall(std::move(req));
 }
 
-Result<std::string> RequestClient::Read(Fd fd, size_t max_bytes) {
+Result<std::string> ClientApi::Read(Fd fd, size_t max_bytes) {
   ServerRequest req;
   req.op = ServerOp::kReadFd;
   req.fd = fd;
@@ -130,7 +130,7 @@ Result<std::string> RequestClient::Read(Fd fd, size_t max_bytes) {
   return std::move(resp.text);
 }
 
-Result<uint64_t> RequestClient::Seek(Fd fd, uint64_t offset) {
+Result<uint64_t> ClientApi::Seek(Fd fd, uint64_t offset) {
   ServerRequest req;
   req.op = ServerOp::kSeek;
   req.fd = fd;
@@ -142,7 +142,7 @@ Result<uint64_t> RequestClient::Seek(Fd fd, uint64_t offset) {
   return resp.size;
 }
 
-Result<size_t> RequestClient::Write(Fd fd, const std::string& bytes) {
+Result<size_t> ClientApi::Write(Fd fd, const std::string& bytes) {
   ServerRequest req;
   req.op = ServerOp::kWriteFd;
   req.fd = fd;
@@ -154,7 +154,7 @@ Result<size_t> RequestClient::Write(Fd fd, const std::string& bytes) {
   return static_cast<size_t>(resp.size);
 }
 
-Result<void> RequestClient::WriteFile(const std::string& path,
+Result<void> ClientApi::WriteFile(const std::string& path,
                                       const std::string& content) {
   ServerRequest req;
   req.op = ServerOp::kWriteFile;
@@ -163,28 +163,28 @@ Result<void> RequestClient::WriteFile(const std::string& path,
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Mkdir(const std::string& path) {
+Result<void> ClientApi::Mkdir(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kMkdir;
   req.path = path;
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Unlink(const std::string& path) {
+Result<void> ClientApi::Unlink(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kUnlink;
   req.path = path;
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Rmdir(const std::string& path) {
+Result<void> ClientApi::Rmdir(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kRmdir;
   req.path = path;
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Rename(const std::string& from, const std::string& to) {
+Result<void> ClientApi::Rename(const std::string& from, const std::string& to) {
   ServerRequest req;
   req.op = ServerOp::kRename;
   req.path = from;
@@ -192,7 +192,7 @@ Result<void> RequestClient::Rename(const std::string& from, const std::string& t
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Symlink(const std::string& target,
+Result<void> ClientApi::Symlink(const std::string& target,
                                     const std::string& link_path) {
   ServerRequest req;
   req.op = ServerOp::kSymlink;
@@ -201,7 +201,7 @@ Result<void> RequestClient::Symlink(const std::string& target,
   return VoidCall(std::move(req));
 }
 
-Result<std::string> RequestClient::ReadLink(const std::string& path) {
+Result<std::string> ClientApi::ReadLink(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kReadLink;
   req.path = path;
@@ -212,7 +212,7 @@ Result<std::string> RequestClient::ReadLink(const std::string& path) {
   return std::move(resp.text);
 }
 
-Result<std::string> RequestClient::Chdir(const std::string& path) {
+Result<std::string> ClientApi::Chdir(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kChdir;
   req.path = path;
@@ -223,7 +223,7 @@ Result<std::string> RequestClient::Chdir(const std::string& path) {
   return std::move(resp.text);
 }
 
-Result<void> RequestClient::SMkdir(const std::string& path, const std::string& query) {
+Result<void> ClientApi::SMkdir(const std::string& path, const std::string& query) {
   ServerRequest req;
   req.op = ServerOp::kSMkdir;
   req.path = path;
@@ -231,7 +231,7 @@ Result<void> RequestClient::SMkdir(const std::string& path, const std::string& q
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::SetQuery(const std::string& path,
+Result<void> ClientApi::SetQuery(const std::string& path,
                                      const std::string& query) {
   ServerRequest req;
   req.op = ServerOp::kSetQuery;
@@ -240,7 +240,7 @@ Result<void> RequestClient::SetQuery(const std::string& path,
   return VoidCall(std::move(req));
 }
 
-Result<std::string> RequestClient::GetQuery(const std::string& path) {
+Result<std::string> ClientApi::GetQuery(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kGetQuery;
   req.path = path;
@@ -251,7 +251,7 @@ Result<std::string> RequestClient::GetQuery(const std::string& path) {
   return std::move(resp.text);
 }
 
-Result<std::vector<std::string>> RequestClient::Search(const std::string& query,
+Result<std::vector<std::string>> ClientApi::Search(const std::string& query,
                                                        const std::string& scope_dir) {
   ServerRequest req;
   req.op = ServerOp::kSearch;
@@ -264,7 +264,7 @@ Result<std::vector<std::string>> RequestClient::Search(const std::string& query,
   return std::move(resp.paths);
 }
 
-Result<LinkClassView> RequestClient::GetLinkClasses(const std::string& dir_path) {
+Result<LinkClassView> ClientApi::GetLinkClasses(const std::string& dir_path) {
   ServerRequest req;
   req.op = ServerOp::kGetLinkClasses;
   req.path = dir_path;
@@ -275,21 +275,21 @@ Result<LinkClassView> RequestClient::GetLinkClasses(const std::string& dir_path)
   return std::move(resp.links);
 }
 
-Result<void> RequestClient::PromoteLink(const std::string& link_path) {
+Result<void> ClientApi::PromoteLink(const std::string& link_path) {
   ServerRequest req;
   req.op = ServerOp::kPromoteLink;
   req.path = link_path;
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::DemoteLink(const std::string& link_path) {
+Result<void> ClientApi::DemoteLink(const std::string& link_path) {
   ServerRequest req;
   req.op = ServerOp::kDemoteLink;
   req.path = link_path;
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Prohibit(const std::string& dir_path,
+Result<void> ClientApi::Prohibit(const std::string& dir_path,
                                      const std::string& file_path) {
   ServerRequest req;
   req.op = ServerOp::kProhibit;
@@ -298,7 +298,7 @@ Result<void> RequestClient::Prohibit(const std::string& dir_path,
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Unprohibit(const std::string& dir_path,
+Result<void> ClientApi::Unprohibit(const std::string& dir_path,
                                        const std::string& file_path) {
   ServerRequest req;
   req.op = ServerOp::kUnprohibit;
@@ -307,20 +307,20 @@ Result<void> RequestClient::Unprohibit(const std::string& dir_path,
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Reindex() {
+Result<void> ClientApi::Reindex() {
   ServerRequest req;
   req.op = ServerOp::kReindex;
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::SSync(const std::string& path) {
+Result<void> ClientApi::SSync(const std::string& path) {
   ServerRequest req;
   req.op = ServerOp::kSSync;
   req.path = path;
   return VoidCall(std::move(req));
 }
 
-Result<std::vector<std::string>> RequestClient::SAct(const std::string& link_path) {
+Result<std::vector<std::string>> ClientApi::SAct(const std::string& link_path) {
   ServerRequest req;
   req.op = ServerOp::kSAct;
   req.path = link_path;
@@ -331,7 +331,7 @@ Result<std::vector<std::string>> RequestClient::SAct(const std::string& link_pat
   return std::move(resp.paths);
 }
 
-Result<Fd> RequestClient::OpenCursor(const std::string& path,
+Result<Fd> ClientApi::OpenCursor(const std::string& path,
                                      const std::string& query) {
   ServerRequest req;
   req.op = ServerOp::kOpenCursor;
@@ -344,7 +344,7 @@ Result<Fd> RequestClient::OpenCursor(const std::string& path,
   return resp.fd;
 }
 
-Result<CursorPage> RequestClient::FetchPage(Fd cursor, size_t max_entries) {
+Result<CursorPage> ClientApi::FetchPage(Fd cursor, size_t max_entries) {
   ServerRequest req;
   req.op = ServerOp::kFetchPage;
   req.fd = cursor;
@@ -360,26 +360,26 @@ Result<CursorPage> RequestClient::FetchPage(Fd cursor, size_t max_entries) {
   return page;
 }
 
-Result<void> RequestClient::CloseCursor(Fd cursor) {
+Result<void> ClientApi::CloseCursor(Fd cursor) {
   ServerRequest req;
   req.op = ServerOp::kCloseCursor;
   req.fd = cursor;
   return VoidCall(std::move(req));
 }
 
-Result<void> RequestClient::Checkpoint() {
+Result<void> ClientApi::Checkpoint() {
   ServerRequest req;
   req.op = ServerOp::kCheckpoint;
   return VoidCall(std::move(req));
 }
 
-StatsSnapshot RequestClient::Stats() {
+StatsSnapshot ClientApi::Stats() {
   ServerRequest req;
   req.op = ServerOp::kStats;
   return Call(std::move(req)).stats;
 }
 
-Result<std::string> RequestClient::Introspect(const std::string& what) {
+Result<std::string> ClientApi::Introspect(const std::string& what) {
   ServerRequest req;
   req.op = ServerOp::kIntrospect;
   req.aux = what;

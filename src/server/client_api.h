@@ -1,14 +1,14 @@
 // ClientApi: the typed client surface of the hacd service, independent of how the
-// calls reach it. Two implementations ship:
+// calls reach it. Two transports ship:
 //
 //   * ServiceClient (client.h)      — in-process: calls HacService::Submit directly.
 //   * RemoteServiceClient (tcp_client.h) — over the versioned wire protocol on TCP.
 //
-// The two are interchangeable: tests/server/client_contract_test.cc runs the same
-// behavioral suite over both, so anything written against ClientApi works unchanged
-// in-process or across the network. Implementations are synchronous and must be
-// driven from one thread at a time (the session contract); create one client per
-// concurrent caller.
+// Both derive every typed method from ClientApi and supply only Transport(), so they
+// cannot drift: tests/server/client_contract_test.cc runs the same behavioral suite
+// over both, and anything written against ClientApi works unchanged in-process or
+// across the network. Clients are synchronous and must be driven from one thread at a
+// time (the session contract); create one client per concurrent caller.
 #ifndef HAC_SERVER_CLIENT_API_H_
 #define HAC_SERVER_CLIENT_API_H_
 
@@ -31,65 +31,63 @@ struct CursorPage {
   bool has_more = false;
 };
 
+// The entire typed surface, implemented once in terms of one transport hook: a
+// request goes out, a response comes back, and the mapping between the two is
+// identical whether the transport is a function call or a TCP round-trip. Concrete
+// clients override only Transport().
 class ClientApi {
  public:
   virtual ~ClientApi() = default;
 
   // --- ordinary operations ---
-  virtual Result<std::vector<DirEntry>> ReadDir(const std::string& path) = 0;
-  virtual Result<Stat> StatPath(const std::string& path) = 0;
-  virtual Result<Stat> LstatPath(const std::string& path) = 0;
-  virtual Result<Fd> Open(const std::string& path, uint32_t flags) = 0;
-  virtual Result<void> Close(Fd fd) = 0;
-  virtual Result<std::string> Read(Fd fd, size_t max_bytes) = 0;
-  virtual Result<uint64_t> Seek(Fd fd, uint64_t offset) = 0;
-  virtual Result<size_t> Write(Fd fd, const std::string& bytes) = 0;
-  virtual Result<void> WriteFile(const std::string& path,
-                                 const std::string& content) = 0;
-  virtual Result<void> Mkdir(const std::string& path) = 0;
-  virtual Result<void> Unlink(const std::string& path) = 0;
-  virtual Result<void> Rmdir(const std::string& path) = 0;
-  virtual Result<void> Rename(const std::string& from, const std::string& to) = 0;
-  virtual Result<void> Symlink(const std::string& target,
-                               const std::string& link_path) = 0;
-  virtual Result<std::string> ReadLink(const std::string& path) = 0;
-  virtual Result<std::string> Chdir(const std::string& path) = 0;  // returns new cwd
+  Result<std::vector<DirEntry>> ReadDir(const std::string& path);
+  Result<Stat> StatPath(const std::string& path);
+  Result<Stat> LstatPath(const std::string& path);
+  Result<Fd> Open(const std::string& path, uint32_t flags);
+  Result<void> Close(Fd fd);
+  Result<std::string> Read(Fd fd, size_t max_bytes);
+  Result<uint64_t> Seek(Fd fd, uint64_t offset);
+  Result<size_t> Write(Fd fd, const std::string& bytes);
+  Result<void> WriteFile(const std::string& path, const std::string& content);
+  Result<void> Mkdir(const std::string& path);
+  Result<void> Unlink(const std::string& path);
+  Result<void> Rmdir(const std::string& path);
+  Result<void> Rename(const std::string& from, const std::string& to);
+  Result<void> Symlink(const std::string& target, const std::string& link_path);
+  Result<std::string> ReadLink(const std::string& path);
+  Result<std::string> Chdir(const std::string& path);  // returns new cwd
 
   // --- semantic operations ---
-  virtual Result<void> SMkdir(const std::string& path, const std::string& query) = 0;
-  virtual Result<void> SetQuery(const std::string& path, const std::string& query) = 0;
-  virtual Result<std::string> GetQuery(const std::string& path) = 0;
-  virtual Result<std::vector<std::string>> Search(const std::string& query,
-                                                  const std::string& scope_dir = "/") = 0;
-  virtual Result<LinkClassView> GetLinkClasses(const std::string& dir_path) = 0;
-  virtual Result<void> PromoteLink(const std::string& link_path) = 0;
-  virtual Result<void> DemoteLink(const std::string& link_path) = 0;
-  virtual Result<void> Prohibit(const std::string& dir_path,
-                                const std::string& file_path) = 0;
-  virtual Result<void> Unprohibit(const std::string& dir_path,
-                                  const std::string& file_path) = 0;
-  virtual Result<void> Reindex() = 0;
-  virtual Result<void> SSync(const std::string& path) = 0;
-  virtual Result<std::vector<std::string>> SAct(const std::string& link_path) = 0;
+  Result<void> SMkdir(const std::string& path, const std::string& query);
+  Result<void> SetQuery(const std::string& path, const std::string& query);
+  Result<std::string> GetQuery(const std::string& path);
+  Result<std::vector<std::string>> Search(const std::string& query,
+                                          const std::string& scope_dir = "/");
+  Result<LinkClassView> GetLinkClasses(const std::string& dir_path);
+  Result<void> PromoteLink(const std::string& link_path);
+  Result<void> DemoteLink(const std::string& link_path);
+  Result<void> Prohibit(const std::string& dir_path, const std::string& file_path);
+  Result<void> Unprohibit(const std::string& dir_path, const std::string& file_path);
+  Result<void> Reindex();
+  Result<void> SSync(const std::string& path);
+  Result<std::vector<std::string>> SAct(const std::string& link_path);
 
   // --- server-side cursors (streaming reads; docs/API.md "Cursor ops") ---
   // Opens a cursor over `path`: with an empty `query`, a paged directory
   // enumeration; otherwise a paged search scoped to that directory. The returned
   // id lives in the session's cursor table until CloseCursor, a fetch error
   // (every fetch failure auto-closes server-side), or the idle sweep harvests it.
-  virtual Result<Fd> OpenCursor(const std::string& path,
-                                const std::string& query = "") = 0;
+  Result<Fd> OpenCursor(const std::string& path, const std::string& query = "");
   // Pulls the next page (max_entries 0 = server default), resuming strictly after
   // the last entry delivered: writes between pages never fail a cursor, an entry
   // present for the whole drain arrives exactly once, and entries added or removed
   // meanwhile may or may not appear. has_more=false means the cursor is exhausted
   // but still open (a final CloseCursor is still the caller's job).
-  virtual Result<CursorPage> FetchPage(Fd cursor, size_t max_entries = 0) = 0;
-  virtual Result<void> CloseCursor(Fd cursor) = 0;
+  Result<CursorPage> FetchPage(Fd cursor, size_t max_entries = 0);
+  Result<void> CloseCursor(Fd cursor);
 
-  // Convenience loops over the cursor ops (implemented here once, so the two
-  // transports cannot drift): stream the full result page by page, bounding peak
-  // frame size instead of materializing one monolithic response.
+  // Convenience loops over the cursor ops: stream the full result page by page,
+  // bounding peak frame size instead of materializing one monolithic response.
   Result<std::vector<DirEntry>> ReadDirPaged(const std::string& path,
                                              size_t page_size = 0);
   Result<std::vector<std::string>> SearchPaged(const std::string& query,
@@ -98,60 +96,13 @@ class ClientApi {
 
   // Persist a durability checkpoint now (docs/DURABILITY.md). Succeeds as a no-op
   // when the service runs without a data directory.
-  virtual Result<void> Checkpoint() = 0;
+  Result<void> Checkpoint();
 
-  virtual StatsSnapshot Stats() = 0;
+  StatsSnapshot Stats();
 
   // Process-global observability snapshot as JSON (docs/API.md "Introspection").
   // `what` is "stats" (metrics registry) or "trace" (Chrome trace_event dump).
-  virtual Result<std::string> Introspect(const std::string& what = "stats") = 0;
-};
-
-// Implements the entire typed surface in terms of one transport hook: a request
-// goes out, a response comes back, and the mapping between the two is identical
-// whether the transport is a function call or a TCP round-trip. Concrete clients
-// override only Transport().
-class RequestClient : public ClientApi {
- public:
-  Result<std::vector<DirEntry>> ReadDir(const std::string& path) override;
-  Result<Stat> StatPath(const std::string& path) override;
-  Result<Stat> LstatPath(const std::string& path) override;
-  Result<Fd> Open(const std::string& path, uint32_t flags) override;
-  Result<void> Close(Fd fd) override;
-  Result<std::string> Read(Fd fd, size_t max_bytes) override;
-  Result<uint64_t> Seek(Fd fd, uint64_t offset) override;
-  Result<size_t> Write(Fd fd, const std::string& bytes) override;
-  Result<void> WriteFile(const std::string& path, const std::string& content) override;
-  Result<void> Mkdir(const std::string& path) override;
-  Result<void> Unlink(const std::string& path) override;
-  Result<void> Rmdir(const std::string& path) override;
-  Result<void> Rename(const std::string& from, const std::string& to) override;
-  Result<void> Symlink(const std::string& target,
-                       const std::string& link_path) override;
-  Result<std::string> ReadLink(const std::string& path) override;
-  Result<std::string> Chdir(const std::string& path) override;
-  Result<void> SMkdir(const std::string& path, const std::string& query) override;
-  Result<void> SetQuery(const std::string& path, const std::string& query) override;
-  Result<std::string> GetQuery(const std::string& path) override;
-  Result<std::vector<std::string>> Search(const std::string& query,
-                                          const std::string& scope_dir = "/") override;
-  Result<LinkClassView> GetLinkClasses(const std::string& dir_path) override;
-  Result<void> PromoteLink(const std::string& link_path) override;
-  Result<void> DemoteLink(const std::string& link_path) override;
-  Result<void> Prohibit(const std::string& dir_path,
-                        const std::string& file_path) override;
-  Result<void> Unprohibit(const std::string& dir_path,
-                          const std::string& file_path) override;
-  Result<void> Reindex() override;
-  Result<void> SSync(const std::string& path) override;
-  Result<std::vector<std::string>> SAct(const std::string& link_path) override;
-  Result<Fd> OpenCursor(const std::string& path,
-                        const std::string& query = "") override;
-  Result<CursorPage> FetchPage(Fd cursor, size_t max_entries = 0) override;
-  Result<void> CloseCursor(Fd cursor) override;
-  Result<void> Checkpoint() override;
-  StatsSnapshot Stats() override;
-  Result<std::string> Introspect(const std::string& what = "stats") override;
+  Result<std::string> Introspect(const std::string& what = "stats");
 
  protected:
   // One request/response exchange. Implementations report transport-level failures

@@ -1,6 +1,7 @@
 #include "src/server/hac_service.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/core/durability.h"
@@ -63,8 +64,13 @@ uint64_t WaitedUs(const std::chrono::steady_clock::time_point& enqueued) {
 HacService::HacService(HacFileSystem& fs, ServiceOptions options)
     : fs_(fs),
       options_(options),
-      readers_(std::max<size_t>(1, options.read_workers)),
+      read_queue_(options.max_read_queue),
       write_queue_(std::max<size_t>(1, options.max_write_queue)) {
+  const size_t workers = std::max<size_t>(1, options.read_workers);
+  readers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    readers_.emplace_back([this] { ReaderLoop(); });
+  }
   writer_ = std::thread([this] { WriterLoop(); });
 }
 
@@ -144,59 +150,44 @@ void HacService::CloseSessionAsync(Session* session,
 
 void HacService::SubmitCallback(Session* session, ServerRequest req,
                                 ResponseCallback done) {
-  auto p = std::make_shared<Pending>();
-  p->req = std::move(req);
-  p->session = session;
-  p->done = std::move(done);
-  p->enqueued = std::chrono::steady_clock::now();
-  if (p->session == nullptr) {
-    p->done(ErrorResponse(Error(ErrorCode::kInvalidArgument, "null session")));
+  if (session == nullptr) {
+    done(ErrorResponse(Error(ErrorCode::kInvalidArgument, "null session")));
     return;
   }
-  if (p->req.op == ServerOp::kIntrospect) {
+  if (req.op == ServerOp::kIntrospect) {
     // Introspection bypasses both queues and both shedding mechanisms: it reads
     // only the process-global metrics registry and trace ring (no fs lock, no
     // worker), so it stays answerable precisely when the service is overloaded
     // and the numbers matter most. Answered even while stopping.
     GM().introspect_requests.Inc();
     ServerResponse resp;
-    resp.text = p->req.aux == "trace" ? TraceRing::Global().ExportChromeJson()
-                                      : IntrospectStatsJson();
-    p->done(std::move(resp));
+    resp.text = req.aux == "trace" ? TraceRing::Global().ExportChromeJson()
+                                   : IntrospectStatsJson();
+    done(std::move(resp));
     return;
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    p->done(Overloaded("service is stopping"));
+    done(Overloaded("service is stopping"));
     return;
   }
 
-  if (IsReadOp(p->req.op)) {
-    // Admission control: reject when the read backlog is at capacity.
-    size_t queued = queued_reads_.load(std::memory_order_relaxed);
-    do {
-      if (queued >= options_.max_read_queue) {
-        rejected_queue_full_.Inc();
-        p->done(Overloaded("read queue full"));
-        return;
-      }
-    } while (!queued_reads_.compare_exchange_weak(queued, queued + 1,
-                                                  std::memory_order_relaxed));
-    admitted_reads_.Inc();
-    GM().read_queue_depth.Set(static_cast<int64_t>(queued + 1));
-    if (!readers_.Submit([this, p] { RunRead(p); })) {
-      queued_reads_.fetch_sub(1, std::memory_order_relaxed);
-      p->done(Overloaded("reader pool stopped"));
-    }
-    return;
-  }
-
-  if (!write_queue_.TryPush(p)) {
+  // Admission control: a full (or, once Stop() has run, closed) queue rejects.
+  const bool read = IsReadOp(req.op);
+  BoundedMpscQueue<Pending>& queue = read ? read_queue_ : write_queue_;
+  Pending p{std::move(req), session, std::move(done), std::chrono::steady_clock::now()};
+  if (!queue.TryPush(std::move(p))) {
     rejected_queue_full_.Inc();
-    p->done(Overloaded(write_queue_.closed() ? "service is stopping"
-                                             : "write queue full"));
+    p.done(Overloaded(queue.closed() ? "service is stopping"
+                      : read         ? "read queue full"
+                                     : "write queue full"));
     return;
   }
-  admitted_writes_.Inc();
+  if (read) {
+    admitted_reads_.Inc();
+    GM().read_queue_depth.Set(static_cast<int64_t>(read_queue_.Size()));
+  } else {
+    admitted_writes_.Inc();
+  }
 }
 
 std::future<ServerResponse> HacService::Submit(Session* session, ServerRequest req) {
@@ -232,43 +223,40 @@ void HacService::ReaderLockShared() {
   fs_lock_.lock_shared();
 }
 
-void HacService::RunRead(std::shared_ptr<Pending> p) {
-  const size_t queued = queued_reads_.fetch_sub(1, std::memory_order_relaxed);
-  GM().read_queue_depth.Set(queued > 0 ? static_cast<int64_t>(queued - 1) : 0);
-  if (ShedIfExpired(*p, options_.read_queue_timeout)) {
+void HacService::ReaderLoop() {
+  while (std::optional<Pending> p = read_queue_.Pop()) {
+    GM().read_queue_depth.Set(static_cast<int64_t>(read_queue_.Size()));
+    RunRead(*p);
+  }
+}
+
+void HacService::RunRead(Pending& p) {
+  if (ShedIfExpired(p, options_.read_queue_timeout)) {
     return;
   }
-  GM().queue_wait_read_us.Record(WaitedUs(p->enqueued));
+  GM().queue_wait_read_us.Record(WaitedUs(p.enqueued));
   TraceSpan span(metric_names::kSpanServiceRead);
-  span.Arg("op", static_cast<uint64_t>(p->req.op));
+  span.Arg("op", static_cast<uint64_t>(p.req.op));
   const uint64_t t0 = TraceRing::NowUs();
   ReaderLockShared();
   if (options_.read_hook) {
     options_.read_hook();
   }
-  ServerResponse resp = ExecuteRead(p->session, p->req);
+  ServerResponse resp = ExecuteRead(p.session, p.req);
   fs_lock_.unlock_shared();
   GM().service_time_read_us.Record(TraceRing::NowUs() - t0);
   executed_reads_.Inc();
-  p->done(std::move(resp));
+  p.done(std::move(resp));
 }
 
 void HacService::WriterLoop() {
-  std::vector<std::shared_ptr<Pending>> batch;
-  for (;;) {
-    batch.clear();
-    auto first = write_queue_.PopFor(std::chrono::milliseconds(50));
-    if (!first.has_value()) {
-      if (write_queue_.closed()) {
-        return;
-      }
-      continue;
-    }
+  while (std::optional<Pending> first = write_queue_.Pop()) {
+    std::vector<Pending> batch;
     batch.push_back(std::move(*first));
     // Drain whatever else is already queued, up to the batch cap: these mutations
     // were issued concurrently, so one BatchScope (one propagation pass) covers them.
     while (batch.size() < kMaxWriteBatch) {
-      auto next = write_queue_.TryPop();
+      std::optional<Pending> next = write_queue_.TryPop();
       if (!next.has_value()) {
         break;
       }
@@ -276,37 +264,33 @@ void HacService::WriterLoop() {
     }
 
     // Shed requests that waited past the write deadline before taking the lock.
-    std::vector<std::shared_ptr<Pending>> live;
-    live.reserve(batch.size());
-    for (auto& p : batch) {
-      if (!ShedIfExpired(*p, options_.write_queue_timeout)) {
-        live.push_back(std::move(p));
-      }
-    }
-    if (live.empty()) {
+    std::erase_if(batch, [this](Pending& p) {
+      return ShedIfExpired(p, options_.write_queue_timeout);
+    });
+    if (batch.empty()) {
       continue;
     }
 
-    for (const auto& p : live) {
-      GM().queue_wait_write_us.Record(WaitedUs(p->enqueued));
+    for (const Pending& p : batch) {
+      GM().queue_wait_write_us.Record(WaitedUs(p.enqueued));
     }
-    GM().write_batch_size.Record(live.size());
+    GM().write_batch_size.Record(batch.size());
     TraceSpan span(metric_names::kSpanServiceWriteBatch);
-    span.Arg("batch_size", live.size());
+    span.Arg("batch_size", batch.size());
 
     {
       std::lock_guard<std::mutex> gate(gate_mu_);
       writer_pending_ = true;
     }
-    std::vector<ServerResponse> responses(live.size());
+    std::vector<ServerResponse> responses(batch.size());
     {
       std::unique_lock<std::shared_mutex> lk(fs_lock_);
       Result<void> commit = OkResult();
       {
         BatchScope scope(fs_);
-        for (size_t i = 0; i < live.size(); ++i) {
+        for (size_t i = 0; i < batch.size(); ++i) {
           const uint64_t w0 = TraceRing::NowUs();
-          responses[i] = ExecuteWrite(live[i]->session, live[i]->req);
+          responses[i] = ExecuteWrite(batch[i].session, batch[i].req);
           GM().service_time_write_us.Record(TraceRing::NowUs() - w0);
         }
         commit = scope.Commit();
@@ -333,14 +317,14 @@ void HacService::WriterLoop() {
         // checkpoint's own outcome; policy-triggered checkpoints fail soft (the WAL
         // already holds everything acknowledged).
         bool requested = false;
-        for (const auto& p : live) {
-          requested |= p->req.op == ServerOp::kCheckpoint;
+        for (const Pending& p : batch) {
+          requested |= p.req.op == ServerOp::kCheckpoint;
         }
         if (requested || options_.durable_store->ShouldCheckpoint()) {
           auto ck = options_.durable_store->Checkpoint(fs_);
           if (!ck.ok()) {
-            for (size_t i = 0; i < live.size(); ++i) {
-              if (live[i]->req.op == ServerOp::kCheckpoint && responses[i].ok()) {
+            for (size_t i = 0; i < batch.size(); ++i) {
+              if (batch[i].req.op == ServerOp::kCheckpoint && responses[i].ok()) {
                 responses[i].error = ck.error();
               }
             }
@@ -356,15 +340,15 @@ void HacService::WriterLoop() {
 
     write_batches_.Inc();
     uint64_t largest = largest_write_batch_.load(std::memory_order_relaxed);
-    while (live.size() > largest &&
-           !largest_write_batch_.compare_exchange_weak(largest, live.size(),
+    while (batch.size() > largest &&
+           !largest_write_batch_.compare_exchange_weak(largest, batch.size(),
                                                        std::memory_order_relaxed)) {
     }
     // Group commit: requests complete only after the batch flush, so a client's
     // next read observes its own settled write.
-    for (size_t i = 0; i < live.size(); ++i) {
+    for (size_t i = 0; i < batch.size(); ++i) {
       executed_writes_.Inc();
-      live[i]->done(std::move(responses[i]));
+      batch[i].done(std::move(responses[i]));
     }
   }
 }
@@ -411,7 +395,7 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
         break;
       }
       resp.text.resize(req.size);
-      auto r = fs_.Read(sf.value()->hac_fd, resp.text.data(), req.size);
+      auto r = fs_.Read(*sf.value(), resp.text.data(), req.size);
       if (!r.ok()) {
         resp.error = r.error();
         resp.text.clear();
@@ -427,7 +411,7 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
         resp.error = sf.error();
         break;
       }
-      auto r = fs_.Seek(sf.value()->hac_fd, req.size);
+      auto r = fs_.Seek(*sf.value(), req.size);
       if (!r.ok()) {
         resp.error = r.error();
       } else {
@@ -612,7 +596,7 @@ ServerResponse HacService::ExecuteWrite(Session* session, const ServerRequest& r
         resp.error = r.error();
         break;
       }
-      resp.fd = session->fds_.Allocate(SessionFile{r.value(), abs});
+      resp.fd = session->fds_.Allocate(r.value());
       break;
     }
     case ServerOp::kClose: {
@@ -621,7 +605,7 @@ ServerResponse HacService::ExecuteWrite(Session* session, const ServerRequest& r
         resp.error = sf.error();
         break;
       }
-      Fd hac_fd = sf.value()->hac_fd;
+      Fd hac_fd = *sf.value();
       (void)session->fds_.Release(req.fd);
       auto r = fs_.Close(hac_fd);
       if (!r.ok()) {
@@ -635,7 +619,7 @@ ServerResponse HacService::ExecuteWrite(Session* session, const ServerRequest& r
         resp.error = sf.error();
         break;
       }
-      auto r = fs_.Write(sf.value()->hac_fd, req.aux.data(), req.aux.size());
+      auto r = fs_.Write(*sf.value(), req.aux.data(), req.aux.size());
       if (!r.ok()) {
         resp.error = r.error();
       } else {
@@ -767,8 +751,7 @@ ServerResponse HacService::ExecuteWrite(Session* session, const ServerRequest& r
 
 void HacService::CloseSessionDescriptors(Session* session) {
   std::vector<std::pair<Fd, Fd>> open;  // session fd -> hac fd
-  session->fds_.ForEachOpen(
-      [&](Fd fd, const SessionFile& sf) { open.emplace_back(fd, sf.hac_fd); });
+  session->fds_.ForEachOpen([&](Fd fd, Fd hac_fd) { open.emplace_back(fd, hac_fd); });
   for (const auto& [fd, hac_fd] : open) {
     (void)fs_.Close(hac_fd);
     (void)session->fds_.Release(fd);
@@ -813,7 +796,11 @@ void HacService::Stop() {
       (void)options_.durable_store->CommitFrom(fs_);
       (void)options_.durable_store->Checkpoint(fs_);
     }
-    readers_.Stop();
+    // Readers run every read admitted before the close, then exit.
+    read_queue_.Close();
+    for (std::thread& reader : readers_) {
+      reader.join();
+    }
   });
 }
 

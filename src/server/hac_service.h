@@ -3,17 +3,17 @@
 //
 // Architecture (see DESIGN.md "Service layer & threading model"):
 //
-//   * Every request is classified read or write (src/server/request.h).
-//   * Read-class requests run concurrently on a reader ThreadPool; each execution
-//     holds the shared side of one std::shared_mutex. Read paths through the facade
-//     are mutation-free on shared state (atomic stats counters, locked attribute
-//     cache), so any number of readers may overlap.
-//   * Write-class requests go through a bounded MPSC queue drained by ONE writer
-//     thread. The writer takes the exclusive side of the lock, wraps each drained
-//     group of pending mutations in a single ConsistencyEngine BatchScope, executes
-//     them back-to-back, and completes them only after the batch flush — so
-//     N concurrent writers pay one topological propagation pass, and a client's next
-//     read always sees its own settled write.
+//   * Every request is classified read or write (src/server/request.h), and each class
+//     waits in its own BoundedMpscQueue (src/support/bounded_queue.h).
+//   * Read-class requests are drained by `read_workers` reader threads that run
+//     concurrently; each execution holds the shared side of one std::shared_mutex.
+//     Read paths through the facade are mutation-free on shared state (atomic stats
+//     counters, locked attribute cache), so any number of readers may overlap.
+//   * Write-class requests are drained by ONE writer thread. The writer takes the
+//     exclusive side of the lock, wraps each drained group of pending mutations in a
+//     single ConsistencyEngine BatchScope, executes them back-to-back, and completes
+//     them only after the batch flush — so N concurrent writers pay one topological
+//     propagation pass, and a client's next read always sees its own settled write.
 //   * Writer priority: readers pause admission to the lock while the writer is
 //     waiting (std::shared_mutex makes no fairness promise), so a query storm cannot
 //     starve mutations.
@@ -40,9 +40,9 @@
 #include "src/core/hac_file_system.h"
 #include "src/server/request.h"
 #include "src/server/session.h"
+#include "src/support/bounded_queue.h"
 #include "src/support/metric_names.h"
 #include "src/support/metrics.h"
-#include "src/support/thread_pool.h"
 
 namespace hac {
 
@@ -155,7 +155,8 @@ class HacService {
   // kCloseSession, or the caller holds the exclusive lock after inline cleanup).
   void EraseSession(Session* session);
 
-  void RunRead(std::shared_ptr<Pending> p);
+  void ReaderLoop();
+  void RunRead(Pending& p);
   void WriterLoop();
   // True if `p` outlived its class deadline; completes it with kOverloaded if so.
   bool ShedIfExpired(Pending& p, std::chrono::milliseconds timeout);
@@ -189,9 +190,9 @@ class HacService {
   std::condition_variable gate_cv_;
   bool writer_pending_ = false;
 
-  ThreadPool readers_;
-  std::atomic<size_t> queued_reads_ = 0;
-  BoundedMpscQueue<std::shared_ptr<Pending>> write_queue_;
+  BoundedMpscQueue<Pending> read_queue_;
+  BoundedMpscQueue<Pending> write_queue_;
+  std::vector<std::thread> readers_;
   std::thread writer_;
   std::atomic<bool> stopping_ = false;
   std::once_flag stop_once_;

@@ -1,11 +1,12 @@
 // Wire-less request/response model of the hacd service layer.
 //
 // Every client call is one ServerRequest. The service classifies each op as read or
-// write (IsReadOp): read-class ops execute concurrently on the reader pool under a
-// shared lock and are guaranteed not to mutate shared HAC state (per-session
-// descriptor state only); write-class ops are funnelled through the single-writer
-// batching scheduler, which wraps each drained group in one ConsistencyEngine
-// BatchScope so N concurrent writers pay one topological pass.
+// write (IsReadOp), and each class waits in its own bounded queue: read-class ops are
+// drained by the reader threads and execute concurrently under a shared lock, and are
+// guaranteed not to mutate shared HAC state (per-session descriptor state only);
+// write-class ops are drained by the single-writer batching scheduler, which wraps
+// each drained group in one ConsistencyEngine BatchScope so N concurrent writers pay
+// one topological pass.
 //
 // Classification table (see DESIGN.md "Service layer & threading model"):
 //   read  — Ping, ReadDir, Search, Stat, Lstat, ReadFd, Seek, GetQuery,

@@ -1,15 +1,16 @@
 // Session: one connected client of the hacd service.
 //
-// A session owns a descriptor namespace (a BasicFdTable over the facade's HAC
-// descriptors, so clients can never touch each other's open files) and a current
-// working directory that relative request paths resolve against. A session is driven
+// A session owns a descriptor namespace (a BasicFdTable mapping session descriptors
+// to the facade's HAC descriptors, so clients can never touch each other's open
+// files) and a current working directory that relative request paths resolve
+// against. A session is driven
 // by one synchronous client at a time — the service relies on that for the session's
 // own mutable state (cwd, per-descriptor offsets), which is why Chdir/ReadFd/Seek can
 // run on the concurrent read path.
 //
 // The cursor table is the exception to that single-driver assumption: the epoll
 // transport pipelines, so two read-class cursor ops of one session can overlap on
-// the reader pool, and the idle sweep harvests from the reactor thread. The table
+// the reader threads, and the idle sweep harvests from the reactor thread. The table
 // therefore carries its own mutex, held across a whole fetch (serializing fetches
 // per session — the token update must pair with the page it produced).
 #ifndef HAC_SERVER_SESSION_H_
@@ -25,13 +26,6 @@
 #include "src/vfs/fd_table.h"
 
 namespace hac {
-
-// A session descriptor: the backing HAC descriptor plus the path it was opened with
-// (kept for introspection/debugging; the facade tracks the authoritative state).
-struct SessionFile {
-  Fd hac_fd = -1;
-  std::string path;
-};
 
 // One server-side cursor: pure re-execution state (what to run + how far we got),
 // never live iterators — see docs/API.md "Cursor ops". Each kFetchPage re-invokes
@@ -101,7 +95,7 @@ class Session {
 
   uint64_t id_;
   std::string cwd_ = "/";
-  BasicFdTable<SessionFile> fds_;
+  BasicFdTable<Fd> fds_;  // session fd -> facade fd
   CursorTable cursors_;
 };
 

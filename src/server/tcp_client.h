@@ -1,6 +1,6 @@
 // RemoteServiceClient: the ClientApi implementation that speaks the versioned wire
 // protocol over TCP. Interchangeable with the in-process ServiceClient — both derive
-// the whole typed surface from RequestClient, so code written against ClientApi runs
+// the whole typed surface from ClientApi, so code written against ClientApi runs
 // unchanged against a local service or a remote hacd.
 //
 // Synchronous, one in-flight request per connection (strict request→response order —
@@ -27,7 +27,7 @@
 
 namespace hac {
 
-class RemoteServiceClient : public RequestClient {
+class RemoteServiceClient : public ClientApi {
  public:
   RemoteServiceClient() = default;
   ~RemoteServiceClient() override;

@@ -248,10 +248,33 @@ TEST_P(ConsistencyEngineTest, ProhibitUnlinkedFileIsPreemptive) {
 INSTANTIATE_TEST_SUITE_P(BothEngines, ConsistencyEngineTest,
                          ::testing::Values(ConsistencyMode::kEager,
                                            ConsistencyMode::kIncremental),
-                         [](const auto& info) {
-                           return info.param == ConsistencyMode::kEager ? "Eager"
-                                                                        : "Incremental";
+                         [](const auto& param_info) {
+                           return param_info.param == ConsistencyMode::kEager
+                                      ? "Eager"
+                                      : "Incremental";
                          });
+
+// Both engines visit a pass in one topological order, so a Reindex hands out the new
+// transient links' inode ids in the same order and the two engines write
+// byte-identical state images. /c (uid 4) sits one level above /a/b (uid 3), so it is
+// visited first although its uid is larger.
+TEST(EngineOrderTest, BothEnginesWriteIdenticalImages) {
+  auto image = [](ConsistencyMode mode) {
+    HacFileSystem fs = MakeFs(mode);
+    EXPECT_TRUE(fs.SMkdir("/a", "fingerprint").ok());
+    EXPECT_TRUE(fs.SMkdir("/a/b", "image").ok());
+    EXPECT_TRUE(fs.SMkdir("/c", "fingerprint OR butter").ok());
+    // New files reach the semantic directories at the next Reindex.
+    EXPECT_TRUE(fs.WriteFile("/fp_img.txt", "fingerprint image ridge pixel").ok());
+    EXPECT_TRUE(fs.WriteFile("/fp_crime.txt", "fingerprint murder evidence").ok());
+    EXPECT_TRUE(fs.WriteFile("/recipe.txt", "butter flour oven").ok());
+    EXPECT_TRUE(fs.Reindex().ok());
+    EXPECT_EQ(Names(fs, "/a/b"), std::vector<std::string>{"fp_img.txt"});
+    EXPECT_EQ(Names(fs, "/c").size(), 3u);
+    return fs.SaveState();
+  };
+  EXPECT_EQ(image(ConsistencyMode::kEager), image(ConsistencyMode::kIncremental));
+}
 
 // --- batch-vs-eager equivalence property ---
 //

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/support/rng.h"
 
@@ -111,15 +113,15 @@ TEST(DependencyGraphTest, DependentsTopoOrderRespectsEdges) {
   ASSERT_TRUE(g.SetDependencies(3, {1}).ok());
   ASSERT_TRUE(g.SetDependencies(4, {2, 3}).ok());
 
-  auto order = g.DependentsInTopoOrder(1);
-  ASSERT_EQ(order.size(), 3u);
+  auto order = g.AffectedInTopoOrder({1});
+  ASSERT_EQ(order.size(), 4u);
   auto pos = [&](DirUid u) {
     return std::find(order.begin(), order.end(), u) - order.begin();
   };
+  // The changed node comes first, then its dependents after their dependencies.
+  EXPECT_EQ(order.front(), 1u);
   EXPECT_LT(pos(2), pos(4));
   EXPECT_LT(pos(3), pos(4));
-  // The changed node itself is excluded.
-  EXPECT_EQ(std::count(order.begin(), order.end(), 1), 0);
 }
 
 TEST(DependencyGraphTest, DependentsOfLeafIsEmpty) {
@@ -127,7 +129,9 @@ TEST(DependencyGraphTest, DependentsOfLeafIsEmpty) {
   ASSERT_TRUE(g.AddNode(1).ok());
   ASSERT_TRUE(g.AddNode(2).ok());
   ASSERT_TRUE(g.SetDependencies(2, {1}).ok());
-  EXPECT_TRUE(g.DependentsInTopoOrder(2).empty());
+  EXPECT_EQ(g.AffectedInTopoOrder({2}), std::vector<DirUid>{2});
+  // A source that is not a node contributes nothing.
+  EXPECT_TRUE(g.AffectedInTopoOrder({9}).empty());
 }
 
 TEST(DependencyGraphTest, FullTopoOrderIsValid) {
@@ -153,7 +157,7 @@ TEST(DependencyGraphTest, FullTopoOrderIsValid) {
   }
 }
 
-TEST(DependencyGraphTest, AffectedInLevelsGroupsTheDiamondByDepth) {
+TEST(DependencyGraphTest, AffectedInTopoOrderOrdersTheDiamondByDepth) {
   DependencyGraph g;
   // 1 <- 2, 1 <- 3, {2,3} <- 4: the classic diamond plus a bystander 5.
   for (DirUid u = 1; u <= 5; ++u) {
@@ -163,17 +167,30 @@ TEST(DependencyGraphTest, AffectedInLevelsGroupsTheDiamondByDepth) {
   ASSERT_TRUE(g.SetDependencies(3, {1}).ok());
   ASSERT_TRUE(g.SetDependencies(4, {2, 3}).ok());
 
-  auto levels = g.AffectedInLevels({1});
-  ASSERT_EQ(levels.size(), 3u);
-  EXPECT_EQ(levels[0], std::vector<DirUid>{1});
-  EXPECT_EQ(levels[1], (std::vector<DirUid>{2, 3}));  // independent: one wavefront
-  EXPECT_EQ(levels[2], std::vector<DirUid>{4});
+  EXPECT_EQ(g.AffectedInTopoOrder({1}), (std::vector<DirUid>{1, 2, 3, 4}));
+  // Several sources: one order over the union of their closures.
+  EXPECT_EQ(g.AffectedInTopoOrder({3, 2}), (std::vector<DirUid>{2, 3, 4}));
   // The bystander is untouched; an edit at a leaf affects only itself.
-  EXPECT_EQ(g.AffectedInLevels({5}), std::vector<std::vector<DirUid>>{{5}});
-  EXPECT_EQ(g.AffectedInLevels({4}), std::vector<std::vector<DirUid>>{{4}});
+  EXPECT_EQ(g.AffectedInTopoOrder({5}), std::vector<DirUid>{5});
+  EXPECT_EQ(g.AffectedInTopoOrder({4}), std::vector<DirUid>{4});
 }
 
-TEST(DependencyGraphTest, FullLevelsFlattenToAValidTopoOrder) {
+// The order is by longest in-set dependency path first, uid second: 3 sits one level
+// deeper than 4, so 4 is visited before it despite the larger uid.
+TEST(DependencyGraphTest, OrderIsByDepthThenUid) {
+  DependencyGraph g;
+  // 2 <- 1, 3 <- 2, 4 <- 1.
+  for (DirUid u = 1; u <= 4; ++u) {
+    ASSERT_TRUE(g.AddNode(u).ok());
+  }
+  ASSERT_TRUE(g.SetDependencies(2, {1}).ok());
+  ASSERT_TRUE(g.SetDependencies(3, {2}).ok());
+  ASSERT_TRUE(g.SetDependencies(4, {1}).ok());
+  EXPECT_EQ(g.AffectedInTopoOrder({1}), (std::vector<DirUid>{1, 2, 4, 3}));
+  EXPECT_EQ(g.FullTopoOrder(), (std::vector<DirUid>{1, 2, 4, 3}));
+}
+
+TEST(DependencyGraphTest, FullTopoOrderIsLevelledByLongestPath) {
   DependencyGraph g;
   for (DirUid u = 1; u <= 6; ++u) {
     ASSERT_TRUE(g.AddNode(u).ok());
@@ -184,30 +201,24 @@ TEST(DependencyGraphTest, FullLevelsFlattenToAValidTopoOrder) {
   ASSERT_TRUE(g.SetDependencies(5, {1}).ok());
   ASSERT_TRUE(g.SetDependencies(6, {5, 4}).ok());
 
-  auto levels = g.FullLevels();
+  auto order = g.FullTopoOrder();
+  ASSERT_EQ(order.size(), 6u);
+  // A node's level is 1 + the max over its deps (0 without deps); the order sorts
+  // by (level, uid).
   std::unordered_map<DirUid, size_t> level_of;
-  size_t total = 0;
-  for (size_t l = 0; l < levels.size(); ++l) {
-    EXPECT_TRUE(std::is_sorted(levels[l].begin(), levels[l].end()));
-    for (DirUid u : levels[l]) {
-      level_of[u] = l;
-      ++total;
-    }
-  }
-  ASSERT_EQ(total, 6u);
-  // Longest-path leveling: every dependency sits in a strictly earlier level, and a
-  // node's level is exactly 1 + max over its deps (so wavefronts are as wide as the
-  // DAG allows).
-  for (DirUid u = 1; u <= 6; ++u) {
-    size_t max_dep_level = 0;
-    bool has_dep = false;
+  for (DirUid u : order) {
+    size_t level = 0;
     for (DirUid dep : g.DependenciesOf(u)) {
-      EXPECT_LT(level_of[dep], level_of[u]) << dep << " must precede " << u;
-      max_dep_level = std::max(max_dep_level, level_of[dep]);
-      has_dep = true;
+      ASSERT_EQ(level_of.count(dep), 1u) << dep << " must precede " << u;
+      level = std::max(level, level_of[dep] + 1);
     }
-    EXPECT_EQ(level_of[u], has_dep ? max_dep_level + 1 : 0u) << u;
+    level_of[u] = level;
   }
+  for (size_t i = 1; i < order.size(); ++i) {
+    EXPECT_LT(std::make_pair(level_of[order[i - 1]], order[i - 1]),
+              std::make_pair(level_of[order[i]], order[i]));
+  }
+  EXPECT_EQ(order, (std::vector<DirUid>{1, 2, 5, 3, 4, 6}));
 }
 
 class RandomDagTest : public ::testing::TestWithParam<uint64_t> {};

@@ -346,8 +346,8 @@ INSTANTIATE_TEST_SUITE_P(DurabilityMatrix, CrashMatrixTest,
                                            Row::kTruncatedCheckpoint,
                                            Row::kStaleCheckpointLongTail,
                                            Row::kCorruptCrcMidLog),
-                         [](const ::testing::TestParamInfo<Row>& info) {
-                           return RowName(info.param);
+                         [](const ::testing::TestParamInfo<Row>& param_info) {
+                           return RowName(param_info.param);
                          });
 
 // --- unit coverage around the matrix ---
@@ -442,6 +442,44 @@ TEST(DurabilityTest, CommitFromWritesOnlyReplayableFrames) {
     EXPECT_GT(frame.lsn, prev_lsn) << "LSNs must be strictly monotone";
     prev_lsn = frame.lsn;
   }
+}
+
+// The WAL bytes CommitFrom writes for a fixed op sequence, pinned: file writes, a
+// rename, an unlink, a query set and a link promotion over two group commits. The
+// expected size and FNV-1a hash were computed by the implementation that encoded
+// journal records and WAL frames in two separate places.
+TEST(DurabilityTest, WalSegmentBytesArePinned) {
+  const std::string dir = TestDir("WalGolden");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  HacFileSystem& f = *fs.value();
+  ASSERT_TRUE(f.Mkdir("/docs").ok());
+  ASSERT_TRUE(f.WriteFile("/docs/a.txt", "alpha fingerprint evidence").ok());
+  ASSERT_TRUE(f.WriteFile("/docs/b.txt", "beta dental records").ok());
+  ASSERT_TRUE(f.WriteFile("/docs/d.txt", "delta notes").ok());
+  ASSERT_TRUE(f.Reindex().ok());
+  ASSERT_TRUE(f.SMkdir("/sem", "fingerprint").ok());
+  ASSERT_TRUE(store.value()->CommitFrom(f).ok());
+  ASSERT_TRUE(f.SetQuery("/sem", "fingerprint OR dental").ok());
+  ASSERT_TRUE(f.Rename("/docs/b.txt", "/docs/c.txt").ok());
+  ASSERT_TRUE(f.Unlink("/docs/d.txt").ok());
+  ASSERT_TRUE(f.PromoteLink("/sem/a.txt").ok());
+  ASSERT_TRUE(store.value()->CommitFrom(f).ok());
+
+  auto wals = ListFiles(dir, "wal-");
+  ASSERT_EQ(wals.size(), 1u);
+  const std::vector<uint8_t> bytes = ReadFileBytes(wals[0]);
+  uint64_t fnv = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    fnv = (fnv ^ b) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(bytes.size(), 383u);
+  EXPECT_EQ(fnv, 0xf2edfb5bbbc2b25dull)
+      << "{" << bytes.size() << ", 0x" << std::hex << fnv << "ull}";
 }
 
 TEST(DurabilityTest, CleanStopRestartReplaysNothing) {

@@ -5,6 +5,7 @@
 // assertions over both the in-process and the TCP transport.
 #include "src/server/hac_service.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -29,7 +30,7 @@ ServerRequest MakeReq(ServerOp op, std::string path = "", std::string aux = "") 
   return req;
 }
 
-// Blocks the reader pool inside a read request (while it holds the shared lock) until
+// Blocks the reader threads inside a read request (while it holds the shared lock) until
 // Release() is called; Await() returns once a reader is parked inside the hook.
 class ReadGate {
  public:
@@ -210,6 +211,44 @@ TEST_F(ServiceBasicTest, WriteAdmissionAndDeadlineShedding) {
   auto stats = service.Stats();
   EXPECT_EQ(stats.rejected_queue_full, 1u);
   EXPECT_EQ(stats.shed_deadline, 2u);
+  ASSERT_TRUE(service.CloseSession(s).ok());
+}
+
+// Stop() closes the read queue but still runs every read admitted before it: one read
+// parked in the hook and two queued behind it all complete ok, and Stop() returns only
+// after they have.
+TEST_F(ServiceBasicTest, StopRunsAdmittedReadsThenRejects) {
+  ReadGate gate;
+  ServiceOptions opts;
+  opts.read_workers = 1;
+  opts.read_hook = gate.Hook();
+  HacService service(fs_, opts);
+  Session* s = service.OpenSession();
+
+  auto r1 = service.Submit(s, MakeReq(ServerOp::kPing));
+  gate.AwaitEntered(1);
+  auto r2 = service.Submit(s, MakeReq(ServerOp::kPing));
+  auto r3 = service.Submit(s, MakeReq(ServerOp::kStat, "/"));
+
+  std::atomic<bool> stopped = false;
+  std::thread stopper([&] {
+    service.Stop();
+    stopped = true;
+  });
+  // Give Stop() time to close the read queue; it cannot return while a read is
+  // parked in the hook.
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(stopped.load());
+  gate.Release();
+  stopper.join();
+
+  EXPECT_TRUE(r1.get().ok());
+  EXPECT_TRUE(r2.get().ok());
+  EXPECT_TRUE(r3.get().ok());
+  ServerResponse after = service.Call(s, MakeReq(ServerOp::kPing));
+  EXPECT_EQ(after.error.code, ErrorCode::kOverloaded);
+  EXPECT_EQ(after.error.message, "service is stopping");
+  EXPECT_EQ(service.Stats().executed_reads, 3u);
   ASSERT_TRUE(service.CloseSession(s).ok());
 }
 

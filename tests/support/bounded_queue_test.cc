@@ -1,7 +1,7 @@
-#include "src/support/thread_pool.h"
+#include "src/support/bounded_queue.h"
 
-#include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -18,9 +18,9 @@ TEST(BoundedMpscQueueTest, FifoOrder) {
   EXPECT_TRUE(q.TryPush(2));
   EXPECT_TRUE(q.TryPush(3));
   EXPECT_EQ(q.Size(), 3u);
-  EXPECT_EQ(q.PopFor(milliseconds(0)).value(), 1);
+  EXPECT_EQ(q.Pop().value(), 1);
   EXPECT_EQ(q.TryPop().value(), 2);
-  EXPECT_EQ(q.PopFor(milliseconds(0)).value(), 3);
+  EXPECT_EQ(q.Pop().value(), 3);
   EXPECT_FALSE(q.TryPop().has_value());
 }
 
@@ -40,16 +40,34 @@ TEST(BoundedMpscQueueTest, CloseRejectsPushesButDrainsPops) {
   q.Close();
   EXPECT_TRUE(q.closed());
   EXPECT_FALSE(q.TryPush(3));
-  EXPECT_EQ(q.PopFor(milliseconds(10)).value(), 1);
-  EXPECT_EQ(q.PopFor(milliseconds(10)).value(), 2);
-  EXPECT_FALSE(q.PopFor(milliseconds(10)).has_value());
+  EXPECT_EQ(q.Pop().value(), 1);
+  EXPECT_EQ(q.Pop().value(), 2);
+  EXPECT_FALSE(q.Pop().has_value());
 }
 
-TEST(BoundedMpscQueueTest, PopForTimesOutEmpty) {
+TEST(BoundedMpscQueueTest, RejectedPushLeavesTheItemWithTheCaller) {
+  BoundedMpscQueue<std::vector<int>> q(1);
+  std::vector<int> first = {1};
+  std::vector<int> second = {2, 3};
+  EXPECT_TRUE(q.TryPush(std::move(first)));
+  EXPECT_FALSE(q.TryPush(std::move(second)));
+  EXPECT_EQ(second, (std::vector<int>{2, 3}));
+  q.Close();
+  std::vector<int> third = {4};
+  EXPECT_FALSE(q.TryPush(std::move(third)));
+  EXPECT_EQ(third, std::vector<int>{4});
+}
+
+// A consumer blocked in Pop() on an empty queue wakes when the queue closes, and
+// returns empty: consumer loops end at shutdown without polling.
+TEST(BoundedMpscQueueTest, PopWakesOnClose) {
   BoundedMpscQueue<int> q(4);
-  auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.PopFor(milliseconds(30)).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(20));
+  std::optional<int> got = 7;
+  std::thread consumer([&] { got = q.Pop(); });
+  std::this_thread::sleep_for(milliseconds(20));  // let the consumer block
+  q.Close();
+  consumer.join();
+  EXPECT_FALSE(got.has_value());
 }
 
 TEST(BoundedMpscQueueTest, ConcurrentProducersDeliverEverything) {
@@ -71,41 +89,12 @@ TEST(BoundedMpscQueueTest, ConcurrentProducersDeliverEverything) {
   }
   std::vector<bool> seen(kProducers * kPerProducer, false);
   for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    auto v = q.PopFor(milliseconds(100));
+    auto v = q.Pop();
     ASSERT_TRUE(v.has_value());
     EXPECT_FALSE(seen[static_cast<size_t>(*v)]);
     seen[static_cast<size_t>(*v)] = true;
   }
   EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(ThreadPoolTest, RunsSubmittedJobs) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.ThreadCount(), 3u);
-  std::atomic<int> count = 0;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(pool.Submit([&count] { ++count; }));
-  }
-  pool.Stop();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, StopRunsPendingJobsAndIsIdempotent) {
-  std::atomic<int> count = 0;
-  {
-    ThreadPool pool(1);
-    // The first job blocks the single worker long enough for the rest to pile up;
-    // Stop() must still run them all.
-    pool.Submit([] { std::this_thread::sleep_for(milliseconds(50)); });
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&count] { ++count; });
-    }
-    pool.Stop();
-    EXPECT_EQ(count.load(), 20);
-    EXPECT_FALSE(pool.Submit([&count] { ++count; }));
-    pool.Stop();  // idempotent
-  }
-  EXPECT_EQ(count.load(), 20);
 }
 
 }  // namespace
