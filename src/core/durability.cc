@@ -1,6 +1,7 @@
 #include "src/core/durability.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,11 +11,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "src/support/metric_names.h"
 #include "src/support/metrics.h"
 #include "src/support/serializer.h"
+#include "src/support/trace.h"
 #include "src/vfs/types.h"
 
 namespace hac {
@@ -70,6 +71,11 @@ Histogram& CheckpointHistogram() {
       metric_names::kDurabilityCheckpointUs, "us");
   return h;
 }
+Histogram& CheckpointBuildHistogram() {
+  static Histogram& h = MetricsRegistry::Global().GetHistogram(
+      metric_names::kDurabilityCheckpointBuildUs, "us");
+  return h;
+}
 Histogram& RecoveryHistogram() {
   static Histogram& h = MetricsRegistry::Global().GetHistogram(
       metric_names::kDurabilityRecoveryUs, "us");
@@ -101,13 +107,37 @@ Result<void> SyncDirectory(const std::string& dir) {
   return OkResult();
 }
 
+// One fstat and, normally, one read: recovery reads whole images and segments.
 Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error(ErrorCode::kNotFound, path);
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Error(ErrorCode::kNotFound, path + ": " + std::strerror(errno));
   }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Error(ErrorCode::kNotFound, path + ": " + std::strerror(err));
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  size_t got = 0;
+  while (got < bytes.size()) {
+    ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      return Error(ErrorCode::kBusy, "read " + path + ": " + std::strerror(err));
+    }
+    if (n == 0) {
+      break;  // the file shrank since the fstat
+    }
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
   return bytes;
 }
 
@@ -118,20 +148,40 @@ Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> t{};
+  // Slicing-by-8: kTables[k][b] is byte b's contribution to the CRC once k more
+  // bytes follow it, so eight bytes cost eight independent lookups rather than a
+  // chain of eight dependent ones.
+  static const std::array<std::array<uint32_t, 256>, 8> kTables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
+  const auto& t = kTables;
+  auto le32 = [](const uint8_t* p) {
+    return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+           uint32_t{p[3]} << 24;
+  };
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; data += 8, n -= 8) {
+    const uint32_t lo = le32(data) ^ crc;
+    const uint32_t hi = le32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++data, --n) {
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -286,30 +336,29 @@ std::vector<DurableStore::DecodedFrame> DurableStore::DecodeFrames(
     }
     CorruptFramesCounter().Inc();
   };
-  ByteReader r(bytes);
-  while (!r.AtEnd()) {
-    if (r.remaining() < 8) {
-      stop("torn frame header (" + std::to_string(r.remaining()) + " trailing bytes)");
+  // Each frame's CRC is checked over its body where it lies in `bytes`.
+  const uint8_t* p = bytes.data();
+  size_t left = bytes.size();
+  while (left > 0) {
+    if (left < 8) {
+      stop("torn frame header (" + std::to_string(left) + " trailing bytes)");
       break;
     }
-    auto len = r.GetU32();
-    auto crc = r.GetU32();
-    if (!len.ok() || !crc.ok() || len.value() > r.remaining()) {
-      stop("truncated frame body (want " +
-           std::to_string(len.ok() ? len.value() : 0) + " bytes, have " +
-           std::to_string(r.remaining()) + ")");
+    ByteReader header(p, 8);
+    const uint32_t len = header.GetU32().value();
+    const uint32_t crc = header.GetU32().value();
+    p += 8;
+    left -= 8;
+    if (len > left) {
+      stop("truncated frame body (want " + std::to_string(len) + " bytes, have " +
+           std::to_string(left) + ")");
       break;
     }
-    std::vector<uint8_t> body(len.value());
-    if (!r.GetBytes(body.data(), body.size()).ok()) {
-      stop("truncated frame body");
-      break;
-    }
-    if (Crc32(body.data(), body.size()) != crc.value()) {
+    if (Crc32(p, len) != crc) {
       stop("crc mismatch at frame " + std::to_string(out.size()));
       break;
     }
-    ByteReader b(body.data(), body.size());
+    ByteReader b(p, len);
     DecodedFrame frame;
     auto lsn = b.GetVarint();
     if (!lsn.ok() || !DecodeJournalRecord(b, frame.record).ok()) {
@@ -318,6 +367,8 @@ std::vector<DurableStore::DecodedFrame> DurableStore::DecodeFrames(
     }
     frame.lsn = lsn.value();
     out.push_back(std::move(frame));
+    p += len;
+    left -= len;
   }
   return out;
 }
@@ -387,6 +438,8 @@ Result<void> DurableStore::ApplyRecord(HacFileSystem& fs, const JournalRecord& r
 // ---------------------------------------------------------------------------
 
 DurableStore::DurableStore(DurabilityOptions options) : options_(std::move(options)) {}
+
+DurableStore::~DurableStore() { (void)WaitCheckpoint(); }
 
 Result<std::unique_ptr<DurableStore>> DurableStore::Open(DurabilityOptions options) {
   if (options.data_dir.empty()) {
@@ -562,6 +615,7 @@ Result<void> DurableStore::CommitFrom(HacFileSystem& fs) {
   if (wal_ == nullptr) {
     HAC_RETURN_IF_ERROR(OpenWalSegment(last_checkpoint_lsn_));
   }
+  TraceSpan span(metric_names::kSpanDurabilityWalCommit);
   std::vector<JournalRecord> records = fs.DrainJournal();
   uint64_t appended = 0;
   uint64_t bytes = 0;
@@ -575,6 +629,9 @@ Result<void> DurableStore::CommitFrom(HacFileSystem& fs) {
     ++appended;
     bytes += frame.size();
   }
+  span.Arg("records", appended);
+  span.Arg("bytes", bytes);
+  span.Arg("lsn", last_lsn_);
   if (appended == 0) {
     return OkResult();  // read-only batch: no fsync needed
   }
@@ -595,18 +652,61 @@ bool DurableStore::ShouldCheckpoint() const {
           bytes_since_checkpoint_ >= options_.checkpoint_interval_bytes);
 }
 
-Result<void> DurableStore::Checkpoint(HacFileSystem& fs) {
+Result<void> DurableStore::BeginCheckpoint(const HacFileSystem& fs) {
+  (void)WaitCheckpoint();  // at most one publication in flight
   const auto started = std::chrono::steady_clock::now();
+  TraceSpan span(metric_names::kSpanDurabilityCheckpointBuild);
   std::vector<uint8_t> image = fs.SaveState();
   const uint64_t lsn = last_lsn_;
+  span.Arg("lsn", lsn);
+  span.Arg("bytes", image.size());
+  // Rotate the log: frames after this image land in a fresh segment. The old
+  // segments stay until the image is published (Publish prunes), so a crash before
+  // the rename recovers from the previous image plus every segment since.
+  HAC_RETURN_IF_ERROR(OpenWalSegment(lsn));
+  last_checkpoint_lsn_ = lsn;
+  records_since_checkpoint_ = 0;
+  bytes_since_checkpoint_ = 0;
+  CheckpointBuildHistogram().Record(ElapsedUs(started));
 
-  ByteWriter w;
-  w.PutU32(kCheckpointMagic);
-  w.PutU32(kCheckpointVersion);
-  w.PutU64(lsn);
-  w.PutU32(Crc32(image.data(), image.size()));
-  w.PutVarint(image.size());
-  w.PutBytes(image.data(), image.size());
+  publishing_.store(true, std::memory_order_release);
+  publisher_ = std::thread([this, image = std::move(image), lsn, started]() mutable {
+    Result<void> published = Publish(std::move(image), lsn);
+    if (published.ok()) {
+      CheckpointsCounter().Inc();
+      CheckpointHistogram().Record(ElapsedUs(started));
+    }
+    publish_status_ = std::move(published);
+    publishing_.store(false, std::memory_order_release);
+  });
+  return OkResult();
+}
+
+Result<void> DurableStore::WaitCheckpoint() {
+  if (!publisher_.joinable()) {
+    return OkResult();
+  }
+  publisher_.join();
+  Result<void> status = std::move(publish_status_);
+  publish_status_ = OkResult();
+  return status;
+}
+
+Result<void> DurableStore::Checkpoint(const HacFileSystem& fs) {
+  HAC_RETURN_IF_ERROR(BeginCheckpoint(fs));
+  return WaitCheckpoint();
+}
+
+Result<void> DurableStore::Publish(std::vector<uint8_t> image, uint64_t lsn) {
+  TraceSpan span(metric_names::kSpanDurabilityCheckpointPublish);
+  span.Arg("lsn", lsn);
+  span.Arg("bytes", image.size());
+  ByteWriter header;
+  header.PutU32(kCheckpointMagic);
+  header.PutU32(kCheckpointVersion);
+  header.PutU64(lsn);
+  header.PutU32(Crc32(image.data(), image.size()));
+  header.PutVarint(image.size());
 
   // Write-temp, fsync, rename, fsync-dir: readers only ever see a complete image
   // under the final name. The temp file stays a RealFile even under fault
@@ -617,8 +717,13 @@ Result<void> DurableStore::Checkpoint(HacFileSystem& fs) {
           .string();
   const std::string tmp_path = final_path + ".tmp";
   {
+    // A crash may have left a partial temp file for this LSN; RealFile appends.
+    std::error_code ec;
+    fs_std::remove(tmp_path, ec);
     HAC_ASSIGN_OR_RETURN(std::unique_ptr<RealFile> f, RealFile::Open(tmp_path));
-    HAC_RETURN_IF_ERROR(f->Append(w.buffer().data(), w.buffer().size()));
+    HAC_RETURN_IF_ERROR(f->Append(header.buffer().data(), header.buffer().size()));
+    HAC_RETURN_IF_ERROR(f->Append(image.data(), image.size()));
+    std::vector<uint8_t>().swap(image);  // the bytes are the kernel's now
     HAC_RETURN_IF_ERROR(f->Sync());
   }
   std::error_code ec;
@@ -627,18 +732,7 @@ Result<void> DurableStore::Checkpoint(HacFileSystem& fs) {
     return Error(ErrorCode::kBusy, "rename " + tmp_path + ": " + ec.message());
   }
   HAC_RETURN_IF_ERROR(SyncDirectory(options_.data_dir));
-
-  last_checkpoint_lsn_ = lsn;
-  records_since_checkpoint_ = 0;
-  bytes_since_checkpoint_ = 0;
-  // Rotate the log: frames after this checkpoint land in a fresh segment, so
-  // pruning can drop whole files once two newer checkpoints exist.
-  HAC_RETURN_IF_ERROR(OpenWalSegment(lsn));
-  HAC_RETURN_IF_ERROR(PruneGenerations());
-
-  CheckpointsCounter().Inc();
-  CheckpointHistogram().Record(ElapsedUs(started));
-  return OkResult();
+  return PruneGenerations();
 }
 
 Result<void> DurableStore::PruneGenerations() {

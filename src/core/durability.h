@@ -9,12 +9,15 @@
 //     as a length-prefixed, CRC32-framed record tagged with a monotone LSN. The
 //     segment is fsynced once per commit; CommitFrom() returns only after the frames
 //     are durable, so the service layer can acknowledge the batch.
-//   * Checkpoint — Checkpoint() persists the facade's full SaveState() image (VFS +
-//     registry + per-directory state + index snapshot) atomically: write to a temp
-//     file, fsync, rename into place, fsync the directory. It then starts a fresh
-//     WAL segment and prunes segments and checkpoint generations no longer needed
-//     (the newest two checkpoints are retained, so a crash that tears the newest one
-//     still recovers from its predecessor plus the surviving log).
+//   * Checkpoint — two halves. BeginCheckpoint() builds: it serializes the facade's
+//     full SaveState() image (VFS + registry + per-directory state + index snapshot),
+//     records the image's LSN and rotates the WAL to a fresh segment named after it.
+//     A publisher thread then seals the image (CRC), writes it to a temp file,
+//     fsyncs, renames it into place, fsyncs the directory, and only then prunes
+//     segments and checkpoint generations no longer needed (the newest two
+//     checkpoints are retained, so a crash that tears the newest one still recovers
+//     from its predecessor plus the surviving log). WaitCheckpoint() joins the
+//     publisher; Checkpoint() is the two back to back.
 //   * Recovery — Recover() loads the newest checkpoint that validates (magic,
 //     version, CRC), falls back to older generations or an empty file system, then
 //     replays the WAL tail in LSN order through the public facade API, skipping
@@ -31,17 +34,19 @@
 #ifndef HAC_CORE_DURABILITY_H_
 #define HAC_CORE_DURABILITY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/hac_file_system.h"
 
 namespace hac {
 
-// IEEE CRC-32 (the zlib polynomial), table-driven. Seed 0; not reflected-output
-// tricks — the value only ever meets its own producer.
+// IEEE CRC-32 (the zlib polynomial, reflected), slicing-by-8. Seed 0 gives the
+// standard check value: Crc32("123456789") == 0xCBF43926.
 uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 
 // ---------------------------------------------------------------------------
@@ -138,13 +143,21 @@ struct RecoveryInfo {
 // One data directory. Layout:
 //   checkpoint-<lsn,16 hex>.hacs   full SaveState image, CRC-sealed header
 //   wal-<lsn,16 hex>.log           frames with LSNs > <lsn>, in order
-// Single-threaded like the facade it persists: the service layer calls it from the
-// writer thread only.
+// One caller at a time, like the facade it persists: the service layer calls it from
+// the writer thread only (and from Stop() once the writer has exited). The one other
+// thread is the publisher a checkpoint starts; it owns its image, touches none of
+// the store's WAL state, and is joined by WaitCheckpoint(), the next
+// BeginCheckpoint() or the destructor.
 class DurableStore {
  public:
   // Opens (creating if needed) the data directory and scans generations. Does not
   // read the state yet — call Recover() for that.
   static Result<std::unique_ptr<DurableStore>> Open(DurabilityOptions options);
+  // Joins a publication still in flight.
+  ~DurableStore();
+  // The publisher thread holds `this`.
+  DurableStore(const DurableStore&) = delete;
+  DurableStore& operator=(const DurableStore&) = delete;
 
   // Builds the file system the directory describes: newest valid checkpoint plus
   // the surviving WAL tail, reindexed. On a fresh directory returns an empty
@@ -158,9 +171,22 @@ class DurableStore {
   // acknowledgements for the drained mutations before this returns OK.
   Result<void> CommitFrom(HacFileSystem& fs);
 
-  // Atomic checkpoint (write-temp, fsync, rename, fsync dir), WAL rotation, and
-  // pruning of generations older than the previous retained checkpoint.
-  Result<void> Checkpoint(HacFileSystem& fs);
+  // The build half of a checkpoint. Joins any publication still in flight, then
+  // serializes `fs` (SaveState), records the image's LSN, resets the policy
+  // counters and rotates the WAL to `wal-<lsn>`. `fs` must not change meanwhile but
+  // may be read: the service holds the shared lock. Then hands the image to a
+  // publisher thread, which, holding no lock, seals it, writes it to a temp file,
+  // fsyncs, renames it into place, fsyncs the directory and prunes generations
+  // older than the previous retained checkpoint. Fails, publishing nothing, only
+  // if the rotation fails.
+  Result<void> BeginCheckpoint(const HacFileSystem& fs);
+  // Joins the publication in flight, if any, and returns its status (OK if none).
+  Result<void> WaitCheckpoint();
+  // True while a publication runs (false once it finished, even if not yet joined).
+  bool publishing() const { return publishing_.load(std::memory_order_acquire); }
+  // BeginCheckpoint + WaitCheckpoint: returns once the image is published and old
+  // generations are pruned.
+  Result<void> Checkpoint(const HacFileSystem& fs);
 
   bool ShouldCheckpoint() const;
 
@@ -192,6 +218,8 @@ class DurableStore {
   explicit DurableStore(DurabilityOptions options);
 
   Result<void> OpenWalSegment(uint64_t start_lsn);
+  // The publisher's half: seal, write, fsync, rename, fsync the directory, prune.
+  Result<void> Publish(std::vector<uint8_t> image, uint64_t lsn);
   Result<void> PruneGenerations();
   // Newest-first list of (lsn, path) for files matching `prefix`.
   std::vector<std::pair<uint64_t, std::string>> ListGeneration(
@@ -206,6 +234,12 @@ class DurableStore {
   uint64_t records_since_checkpoint_ = 0;
   uint64_t bytes_since_checkpoint_ = 0;
   RecoveryInfo recovery_;
+
+  // At most one publication in flight. The publisher writes publish_status_ and
+  // clears publishing_ as it exits; the joining thread reads the status.
+  std::atomic<bool> publishing_ = false;
+  Result<void> publish_status_ = OkResult();
+  std::thread publisher_;
 };
 
 }  // namespace hac

@@ -275,82 +275,100 @@ void HacService::WriterLoop() {
       GM().queue_wait_write_us.Record(WaitedUs(p.enqueued));
     }
     GM().write_batch_size.Record(batch.size());
-    TraceSpan span(metric_names::kSpanServiceWriteBatch);
-    span.Arg("batch_size", batch.size());
-
+    DurableStore* const store = options_.durable_store;
+    Result<void> commit = OkResult();
+    // kCheckpoint requests of a committed batch: they complete once their image is
+    // published, after the rest of the batch.
+    std::vector<Pending> held;
     {
-      std::lock_guard<std::mutex> gate(gate_mu_);
-      writer_pending_ = true;
-    }
-    std::vector<ServerResponse> responses(batch.size());
-    {
-      std::unique_lock<std::shared_mutex> lk(fs_lock_);
-      Result<void> commit = OkResult();
+      TraceSpan span(metric_names::kSpanServiceWriteBatch);
+      span.Arg("batch_size", batch.size());
       {
-        BatchScope scope(fs_);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          const uint64_t w0 = TraceRing::NowUs();
-          responses[i] = ExecuteWrite(batch[i].session, batch[i].req);
-          GM().service_time_write_us.Record(TraceRing::NowUs() - w0);
-        }
-        commit = scope.Commit();
+        std::lock_guard<std::mutex> gate(gate_mu_);
+        writer_pending_ = true;
       }
-      if (options_.durable_store == nullptr) {
-        fs_.DiscardJournal();  // no WAL will ever drain these records
-      } else if (commit.ok()) {
-        // Group commit to the WAL: the whole batch becomes durable with one fsync.
-        // Must succeed before any request below completes — an acknowledged write
-        // is on disk (docs/DURABILITY.md).
-        commit = options_.durable_store->CommitFrom(fs_);
-      }
-      if (!commit.ok()) {
-        // The group flush failed: every op that thought it succeeded did not settle.
-        for (auto& r : responses) {
-          if (r.ok()) {
-            r.error = commit.error();
+      std::vector<ServerResponse> responses(batch.size());
+      {
+        std::unique_lock<std::shared_mutex> lk(fs_lock_);
+        {
+          BatchScope scope(fs_);
+          for (size_t i = 0; i < batch.size(); ++i) {
+            const uint64_t w0 = TraceRing::NowUs();
+            responses[i] = ExecuteWrite(batch[i].session, batch[i].req);
+            GM().service_time_write_us.Record(TraceRing::NowUs() - w0);
           }
+          commit = scope.Commit();
         }
-      }
-      if (commit.ok() && options_.durable_store != nullptr) {
-        // Checkpoints run after the flush and the WAL commit so the persisted image
-        // includes every mutation in this batch. kCheckpoint requests report the
-        // checkpoint's own outcome; policy-triggered checkpoints fail soft (the WAL
-        // already holds everything acknowledged).
-        bool requested = false;
-        for (const Pending& p : batch) {
-          requested |= p.req.op == ServerOp::kCheckpoint;
+        if (store == nullptr) {
+          fs_.DiscardJournal();  // no WAL will ever drain these records
+        } else if (commit.ok()) {
+          // Group commit to the WAL: the whole batch becomes durable with one fsync.
+          // Must succeed before any request below completes — an acknowledged write
+          // is on disk (docs/DURABILITY.md).
+          commit = store->CommitFrom(fs_);
         }
-        if (requested || options_.durable_store->ShouldCheckpoint()) {
-          auto ck = options_.durable_store->Checkpoint(fs_);
-          if (!ck.ok()) {
-            for (size_t i = 0; i < batch.size(); ++i) {
-              if (batch[i].req.op == ServerOp::kCheckpoint && responses[i].ok()) {
-                responses[i].error = ck.error();
-              }
+        if (!commit.ok()) {
+          // The group flush failed: every op that thought it succeeded did not settle.
+          for (auto& r : responses) {
+            if (r.ok()) {
+              r.error = commit.error();
             }
           }
         }
       }
-    }
-    {
-      std::lock_guard<std::mutex> gate(gate_mu_);
-      writer_pending_ = false;
-    }
-    gate_cv_.notify_all();
+      {
+        std::lock_guard<std::mutex> gate(gate_mu_);
+        writer_pending_ = false;
+      }
+      gate_cv_.notify_all();
 
-    write_batches_.Inc();
-    uint64_t largest = largest_write_batch_.load(std::memory_order_relaxed);
-    while (batch.size() > largest &&
-           !largest_write_batch_.compare_exchange_weak(largest, batch.size(),
-                                                       std::memory_order_relaxed)) {
+      write_batches_.Inc();
+      uint64_t largest = largest_write_batch_.load(std::memory_order_relaxed);
+      while (batch.size() > largest &&
+             !largest_write_batch_.compare_exchange_weak(largest, batch.size(),
+                                                         std::memory_order_relaxed)) {
+      }
+      // Group commit: requests complete only after the batch flush (and the WAL
+      // fsync), so a client's next read observes its own settled write. No
+      // checkpoint delays them.
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (store != nullptr && commit.ok() && batch[i].req.op == ServerOp::kCheckpoint) {
+          held.push_back(std::move(batch[i]));
+          continue;
+        }
+        executed_writes_.Inc();
+        batch[i].done(std::move(responses[i]));
+      }
     }
-    // Group commit: requests complete only after the batch flush, so a client's
-    // next read observes its own settled write.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      executed_writes_.Inc();
-      batch[i].done(std::move(responses[i]));
+    // No checkpoint after a failed commit: the image would miss what the WAL lacks.
+    if (store != nullptr && commit.ok()) {
+      const Result<void> ck = TakeCheckpoint(*store, !held.empty());
+      for (Pending& p : held) {
+        executed_writes_.Inc();
+        p.done(ck.ok() ? ServerResponse{} : ErrorResponse(ck.error()));
+      }
     }
   }
+}
+
+Result<void> HacService::TakeCheckpoint(DurableStore& store, bool requested) {
+  if (requested) {
+    (void)store.WaitCheckpoint();  // a policy publication in flight fails soft
+  } else if (!store.ShouldCheckpoint() || store.publishing()) {
+    return OkResult();  // not due, or due again after a later batch
+  }
+  Result<void> built = OkResult();
+  {
+    // The image needs the state unchanged, not unread: readers keep running. The
+    // batch is committed, so SaveState's flush finds nothing pending.
+    std::shared_lock<std::shared_mutex> lk(fs_lock_);
+    built = store.BeginCheckpoint(fs_);
+  }
+  if (!requested) {
+    return OkResult();  // policy checkpoints fail soft: the WAL holds every ack
+  }
+  HAC_RETURN_IF_ERROR(built);
+  return store.WaitCheckpoint();
 }
 
 ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& req) {
@@ -792,7 +810,8 @@ void HacService::Stop() {
     }
     if (options_.durable_store != nullptr) {
       // Seal the store: persist any journal tail the writer left behind, then take
-      // a final checkpoint so the next start recovers without WAL replay.
+      // a final checkpoint (after joining any publication still in flight) so the
+      // next start recovers without WAL replay.
       (void)options_.durable_store->CommitFrom(fs_);
       (void)options_.durable_store->Checkpoint(fs_);
     }

@@ -14,6 +14,8 @@
 //     single ConsistencyEngine BatchScope, executes them back-to-back, and completes
 //     them only after the batch flush — so N concurrent writers pay one topological
 //     propagation pass, and a client's next read always sees its own settled write.
+//     With a durable store, the batch's WAL commit precedes its completion, and a
+//     checkpoint image is built afterwards under the shared lock.
 //   * Writer priority: readers pause admission to the lock while the writer is
 //     waiting (std::shared_mutex makes no fairness promise), so a query storm cannot
 //     starve mutations.
@@ -67,10 +69,13 @@ struct ServiceOptions {
   // Optional crash-safety hook (docs/DURABILITY.md). When set, the writer thread
   // group-commits the facade's journal into the store's WAL after every batch flush
   // and before any request in the batch completes — an acknowledged write is on
-  // disk. The writer also takes a checkpoint whenever the store's policy asks for
-  // one (DurabilityOptions thresholds) or a kCheckpoint request arrives, and Stop()
-  // seals the store with a final checkpoint. Not owned; must outlive the service.
-  // When null, the writer discards the journal after every batch instead.
+  // disk. After completing the batch, the writer builds a checkpoint image under
+  // the shared lock whenever the store's policy asks for one (DurabilityOptions
+  // thresholds) and no publication is in flight, or a kCheckpoint request arrives;
+  // the store's publisher thread writes and publishes it. A kCheckpoint request
+  // completes once its image is published and old generations pruned. Stop() seals
+  // the store with a final checkpoint. Not owned; must outlive the service. When
+  // null, the writer discards the journal after every batch instead.
   DurableStore* durable_store = nullptr;
 };
 
@@ -158,6 +163,11 @@ class HacService {
   void ReaderLoop();
   void RunRead(Pending& p);
   void WriterLoop();
+  // After a committed batch: builds a checkpoint if `requested` (waiting for any
+  // publication in flight first, then for its own) or if the store's policy wants
+  // one and none is in flight. Returns the requested checkpoint's status; a policy
+  // checkpoint always returns OK.
+  Result<void> TakeCheckpoint(DurableStore& store, bool requested);
   // True if `p` outlived its class deadline; completes it with kOverloaded if so.
   bool ShedIfExpired(Pending& p, std::chrono::milliseconds timeout);
 

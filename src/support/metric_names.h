@@ -133,9 +133,13 @@ inline constexpr const char* kServerCursorPageEntries =
     "hac.server.cursor_page_entries";
 inline constexpr const char* kServerCursorPageBytes = "hac.server.cursor_page_bytes";
 // Durability: one fsync per group commit; checkpoint/recovery are whole-operation
-// durations (recovery includes checkpoint load, WAL replay, and the reindex).
+// durations (a checkpoint from its build to its publication; recovery includes
+// checkpoint load, WAL replay, and the reindex). checkpoint_build_us is the writer's
+// share of one checkpoint: SaveState plus the WAL rotation.
 inline constexpr const char* kDurabilityFsyncUs = "hac.durability.fsync_us";
 inline constexpr const char* kDurabilityCheckpointUs = "hac.durability.checkpoint_us";
+inline constexpr const char* kDurabilityCheckpointBuildUs =
+    "hac.durability.checkpoint_build_us";
 inline constexpr const char* kDurabilityRecoveryUs = "hac.durability.recovery_us";
 
 // --- span names (scoped regions recorded into the trace ring) ---
@@ -143,6 +147,10 @@ inline constexpr const char* kSpanConsistencyPass = "consistency.pass";
 inline constexpr const char* kSpanServiceRead = "service.read";
 inline constexpr const char* kSpanServiceWriteBatch = "service.write_batch";
 inline constexpr const char* kSpanIndexEvaluate = "index.evaluate";
+inline constexpr const char* kSpanDurabilityWalCommit = "durability.wal_commit";
+inline constexpr const char* kSpanDurabilityCheckpointBuild = "durability.checkpoint_build";
+inline constexpr const char* kSpanDurabilityCheckpointPublish =
+    "durability.checkpoint_publish";
 
 // Enumeration used for pre-registration and the docs_check cross-check.
 inline constexpr const char* kAllCounters[] = {
@@ -177,13 +185,17 @@ inline constexpr const char* kAllHistograms[] = {
     kServerWireEncodeNs,    kServerWireDecodeNs,
     kServerFramesPerWake, kServerWritevFrames,
     kServerCursorPageEntries, kServerCursorPageBytes,
-    kDurabilityFsyncUs, kDurabilityCheckpointUs, kDurabilityRecoveryUs,
+    kDurabilityFsyncUs, kDurabilityCheckpointUs, kDurabilityCheckpointBuildUs,
+    kDurabilityRecoveryUs,
 };
 inline constexpr const char* kAllSpans[] = {
     kSpanConsistencyPass,
     kSpanServiceRead,
     kSpanServiceWriteBatch,
     kSpanIndexEvaluate,
+    kSpanDurabilityWalCommit,
+    kSpanDurabilityCheckpointBuild,
+    kSpanDurabilityCheckpointPublish,
 };
 
 }  // namespace hac::metric_names

@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -180,10 +182,17 @@ void ExpectAckedBatchesPresent(HacFileSystem& fs, size_t acked) {
   }
 }
 
+std::string CheckpointName(const std::string& dir, uint64_t lsn) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(lsn));
+  return (fs_std::path(dir) / (std::string("checkpoint-") + hex + ".hacs")).string();
+}
+
 enum class Row {
   kCrashBeforeFsync,
   kTornLastFrame,
   kTruncatedCheckpoint,
+  kUnpublishedCheckpoint,
   kStaleCheckpointLongTail,
   kCorruptCrcMidLog,
 };
@@ -196,6 +205,8 @@ std::string RowName(Row row) {
       return "TornLastFrame";
     case Row::kTruncatedCheckpoint:
       return "TruncatedCheckpoint";
+    case Row::kUnpublishedCheckpoint:
+      return "UnpublishedCheckpoint";
     case Row::kStaleCheckpointLongTail:
       return "StaleCheckpointLongTail";
     case Row::kCorruptCrcMidLog:
@@ -222,6 +233,7 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
       opts.wal_fault = FaultSpec::Parse("torn:5");
       break;
     case Row::kTruncatedCheckpoint:
+    case Row::kUnpublishedCheckpoint:
       checkpoint_after = 4;
       second_checkpoint_after = 6;
       break;
@@ -258,6 +270,20 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
     std::vector<uint8_t> bytes = ReadFileBytes(checkpoints.back());
     bytes.resize(bytes.size() / 2);
     WriteFileBytes(checkpoints.back(), bytes);
+  }
+  std::string older_checkpoint;
+  if (row == Row::kUnpublishedCheckpoint) {
+    // A crash after checkpoint B rotated the WAL to wal-<B> and before its rename:
+    // B exists only as a half-written temp file. Recovery must ignore it and load A,
+    // then replay wal-<A> and wal-<B>.
+    auto checkpoints = ListFiles(dir, "checkpoint-");
+    ASSERT_EQ(checkpoints.size(), 2u);
+    ASSERT_EQ(ListFiles(dir, "wal-").size(), 2u);
+    older_checkpoint = checkpoints.front();
+    std::vector<uint8_t> bytes = ReadFileBytes(checkpoints.back());
+    bytes.resize(bytes.size() / 2);
+    WriteFileBytes(checkpoints.back() + ".tmp", bytes);
+    fs_std::remove(checkpoints.back());
   }
   std::vector<DurableStore::DecodedFrame> surviving;
   if (row == Row::kCorruptCrcMidLog) {
@@ -318,6 +344,14 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
       EXPECT_GT(info.checkpoint_lsn, 0u);  // fell back to the older generation
       EXPECT_GT(info.replayed_records, 0u);
       break;
+    case Row::kUnpublishedCheckpoint:
+      EXPECT_EQ(got, CleanReplayDigest(Workload().size()));
+      EXPECT_EQ(info.checkpoint_file, older_checkpoint);
+      EXPECT_FALSE(info.tail_truncated) << info.detail;
+      // Batches 5-6 live in wal-<A>, batches 7-8 in wal-<B>: both segments replay.
+      EXPECT_GT(info.replayed_records, 0u);
+      EXPECT_EQ(ListFiles(dir, "wal-").size(), 2u);
+      break;
     case Row::kStaleCheckpointLongTail:
       EXPECT_EQ(got, CleanReplayDigest(Workload().size()));
       EXPECT_GT(info.replayed_records, 0u);
@@ -344,6 +378,7 @@ INSTANTIATE_TEST_SUITE_P(DurabilityMatrix, CrashMatrixTest,
                          ::testing::Values(Row::kCrashBeforeFsync,
                                            Row::kTornLastFrame,
                                            Row::kTruncatedCheckpoint,
+                                           Row::kUnpublishedCheckpoint,
                                            Row::kStaleCheckpointLongTail,
                                            Row::kCorruptCrcMidLog),
                          [](const ::testing::TestParamInfo<Row>& param_info) {
@@ -378,6 +413,42 @@ TEST(DurabilityTest, FrameCodecRoundTrips) {
   frames = DurableStore::DecodeFrames(bytes, &truncated, &detail);
   EXPECT_EQ(frames.size(), 1u);
   EXPECT_TRUE(truncated);
+}
+
+// CRC-32 one byte at a time, bit by bit, over the same reflected polynomial: the
+// reference the table-driven Crc32 must equal.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(DurabilityTest, Crc32MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(DurabilityTest, Crc32EqualsTheByteAtATimeLoop) {
+  std::mt19937_64 rng(20261019);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng());
+  }
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng() % 8;  // every alignment of the 8-byte loads
+    const size_t n = rng() % (buf.size() - offset);
+    const uint32_t seed = trial % 4 == 0 ? 0 : static_cast<uint32_t>(rng());
+    ASSERT_EQ(Crc32(buf.data() + offset, n, seed),
+              ReferenceCrc32(buf.data() + offset, n, seed))
+        << "offset " << offset << " length " << n << " seed " << seed;
+  }
 }
 
 TEST(DurabilityTest, FaultSpecParses) {
@@ -522,6 +593,74 @@ TEST(DurabilityTest, CheckpointsPruneToTwoGenerations) {
   EXPECT_LE(ListFiles(dir, "checkpoint-").size(), 2u);
   // The WAL never accumulates segments the retained checkpoints cannot use.
   EXPECT_LE(ListFiles(dir, "wal-").size(), 3u);
+}
+
+// The two halves of a checkpoint: BeginCheckpoint returns with the WAL already
+// rotated, so a commit can land in the new segment while the image is published.
+TEST(DurabilityTest, BeginCheckpointRotatesTheWalBeforePublishing) {
+  const std::string dir = TestDir("BeginWait");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  uint64_t lsn = 0;
+  uint64_t digest = 0;
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    RunBatches(*fs.value(), *store.value(), 0);
+    lsn = store.value()->last_lsn();
+    ASSERT_TRUE(store.value()->BeginCheckpoint(*fs.value()).ok());
+    EXPECT_EQ(store.value()->records_since_checkpoint(), 0u);
+    ASSERT_TRUE(fs.value()->Mkdir("/after").ok());
+    ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+    EXPECT_TRUE(store.value()->WaitCheckpoint().ok());
+    EXPECT_FALSE(store.value()->publishing());
+    EXPECT_TRUE(store.value()->WaitCheckpoint().ok()) << "nothing left to join";
+    digest = DigestOf(*fs.value());
+  }
+  EXPECT_TRUE(fs_std::exists(CheckpointName(dir, lsn)));
+  auto wals = ListFiles(dir, "wal-");
+  ASSERT_EQ(wals.size(), 2u);  // the genesis segment and wal-<lsn>
+  bool truncated = false;
+  auto frames = DurableStore::DecodeFrames(ReadFileBytes(wals.back()), &truncated, nullptr);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].lsn, lsn + 1);
+  EXPECT_EQ(frames[0].record.op, JournalOp::kDirCreated);
+
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  EXPECT_EQ(store.value()->recovery_info().checkpoint_lsn, lsn);
+  EXPECT_EQ(store.value()->recovery_info().replayed_records, 1u);
+  EXPECT_EQ(DigestOf(*fs.value()), digest);
+}
+
+// A crash mid-publication leaves checkpoint-<lsn>.hacs.tmp behind. A later checkpoint
+// at the same LSN must replace it, not append to it.
+TEST(DurabilityTest, CheckpointReplacesAStaleTempFileOfItsLsn) {
+  const std::string dir = TestDir("StaleTemp");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  uint64_t lsn = 0;
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    RunBatches(*fs.value(), *store.value(), 0);
+    lsn = store.value()->last_lsn();
+    WriteFileBytes(CheckpointName(dir, lsn) + ".tmp", std::vector<uint8_t>(100, 0xAB));
+    ASSERT_TRUE(store.value()->Checkpoint(*fs.value()).ok());
+  }
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  EXPECT_EQ(store.value()->recovery_info().checkpoint_file, CheckpointName(dir, lsn));
+  EXPECT_EQ(store.value()->recovery_info().replayed_records, 0u);
+  EXPECT_EQ(DigestOf(*fs.value()), CleanReplayDigest(Workload().size()));
 }
 
 TEST(DurabilityTest, ShouldCheckpointTracksThresholds) {
