@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <system_error>
 
 #include "src/support/metric_names.h"
 #include "src/support/metrics.h"
@@ -669,24 +670,29 @@ Result<void> DurableStore::BeginCheckpoint(const HacFileSystem& fs) {
   bytes_since_checkpoint_ = 0;
   CheckpointBuildHistogram().Record(ElapsedUs(started));
 
+  image_ = std::move(image);
   publishing_.store(true, std::memory_order_release);
-  publisher_ = std::thread([this, image = std::move(image), lsn, started]() mutable {
-    Result<void> published = Publish(std::move(image), lsn);
+  const auto publish = [this, lsn, started] {
+    Result<void> published = Publish(std::move(image_), lsn);
     if (published.ok()) {
       CheckpointsCounter().Inc();
       CheckpointHistogram().Record(ElapsedUs(started));
     }
     publish_status_ = std::move(published);
     publishing_.store(false, std::memory_order_release);
-  });
+  };
+  try {
+    publisher_ = std::thread(publish);
+  } catch (const std::system_error&) {
+    publish();  // no thread to be had (EAGAIN): publish on the caller's thread
+  }
   return OkResult();
 }
 
 Result<void> DurableStore::WaitCheckpoint() {
-  if (!publisher_.joinable()) {
-    return OkResult();
+  if (publisher_.joinable()) {
+    publisher_.join();
   }
-  publisher_.join();
   Result<void> status = std::move(publish_status_);
   publish_status_ = OkResult();
   return status;

@@ -145,9 +145,10 @@ struct RecoveryInfo {
 //   wal-<lsn,16 hex>.log           frames with LSNs > <lsn>, in order
 // One caller at a time, like the facade it persists: the service layer calls it from
 // the writer thread only (and from Stop() once the writer has exited). The one other
-// thread is the publisher a checkpoint starts; it owns its image, touches none of
+// thread is the publisher a checkpoint starts; it takes its image, touches none of
 // the store's WAL state, and is joined by WaitCheckpoint(), the next
-// BeginCheckpoint() or the destructor.
+// BeginCheckpoint() or the destructor. If no thread can be started, the caller
+// publishes inline instead.
 class DurableStore {
  public:
   // Opens (creating if needed) the data directory and scans generations. Does not
@@ -180,7 +181,8 @@ class DurableStore {
   // older than the previous retained checkpoint. Fails, publishing nothing, only
   // if the rotation fails.
   Result<void> BeginCheckpoint(const HacFileSystem& fs);
-  // Joins the publication in flight, if any, and returns its status (OK if none).
+  // Joins the publication in flight, if any, and returns the status of the last
+  // publication not yet collected (OK if none).
   Result<void> WaitCheckpoint();
   // True while a publication runs (false once it finished, even if not yet joined).
   bool publishing() const { return publishing_.load(std::memory_order_acquire); }
@@ -235,8 +237,10 @@ class DurableStore {
   uint64_t bytes_since_checkpoint_ = 0;
   RecoveryInfo recovery_;
 
-  // At most one publication in flight. The publisher writes publish_status_ and
-  // clears publishing_ as it exits; the joining thread reads the status.
+  // At most one publication in flight. BeginCheckpoint hands the publisher image_,
+  // which it empties; the publisher writes publish_status_ and clears publishing_ as
+  // it exits; the joining thread reads the status.
+  std::vector<uint8_t> image_;
   std::atomic<bool> publishing_ = false;
   Result<void> publish_status_ = OkResult();
   std::thread publisher_;

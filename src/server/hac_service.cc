@@ -352,15 +352,14 @@ void HacService::WriterLoop() {
 }
 
 Result<void> HacService::TakeCheckpoint(DurableStore& store, bool requested) {
-  if (requested) {
-    (void)store.WaitCheckpoint();  // a policy publication in flight fails soft
-  } else if (!store.ShouldCheckpoint() || store.publishing()) {
+  if (!requested && (!store.ShouldCheckpoint() || store.publishing())) {
     return OkResult();  // not due, or due again after a later batch
   }
   Result<void> built = OkResult();
   {
     // The image needs the state unchanged, not unread: readers keep running. The
     // batch is committed, so SaveState's flush finds nothing pending.
+    // BeginCheckpoint first joins a policy publication in flight, which fails soft.
     std::shared_lock<std::shared_mutex> lk(fs_lock_);
     built = store.BeginCheckpoint(fs_);
   }

@@ -19,8 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -331,10 +333,20 @@ RecoveryInfo KillMidLoadAndRecover(const std::string& name,
   dopts.data_dir = dir;
   dopts.checkpoint_interval_records = checkpoint_interval_records;
 
+  // Neither failure may fall through: kill(-1, SIGKILL) below would signal every
+  // process this one may signal, and a failed pipe() leaves its fds unset.
   int port_pipe[2];
-  EXPECT_EQ(pipe(port_pipe), 0);
-  pid_t child = fork();
-  EXPECT_GE(child, 0);
+  if (pipe(port_pipe) != 0) {
+    ADD_FAILURE() << "pipe: " << std::strerror(errno);
+    return {};
+  }
+  const pid_t child = fork();
+  if (child < 0) {
+    ADD_FAILURE() << "fork: " << std::strerror(errno);
+    close(port_pipe[0]);
+    close(port_pipe[1]);
+    return {};
+  }
   if (child == 0) {
     // --- child: a real persistent hacd serving TCP ---
     close(port_pipe[0]);
