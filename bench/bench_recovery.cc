@@ -9,6 +9,9 @@
 //   checkpointed — checkpointed after the bulk load: recovery loads the image and
 //                  replays only the short tail written afterwards.
 //
+// BM_RecoveryAtPolicyTail times recovery at the longest WAL tail the default
+// checkpoint policy leaves, for a library below and one above its byte floor.
+//
 // Run with --hac_json for the acceptance experiment (the `bench_recovery_gate`
 // ctest): both recoveries must produce a state digest identical to a clean in-memory
 // replay of the same operations, and the checkpointed recovery must replay strictly
@@ -232,6 +235,88 @@ void BM_Checkpoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Checkpoint)->Arg(4)->Arg(16);
+
+// Recovery at the checkpoint policy's longest tail, under the default
+// DurabilityOptions: `files` files loaded and checkpointed, then batches committed
+// until one more would make ShouldCheckpoint() true. The batch that does is cut
+// off its segment again, so the directory holds the longest tail the policy
+// leaves un-checkpointed. The timed region is Open plus Recover.
+void BM_RecoveryAtPolicyTail(benchmark::State& state) {
+  constexpr size_t kFilesPerBatch = 64;
+  const size_t files = static_cast<size_t>(state.range(0));
+  const std::string dir = FreshDir("bm_policy_tail" + std::to_string(files));
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  uint64_t image_bytes = 0;
+  uint64_t tail_bytes = 0;
+  {
+    auto store = DurableStore::Open(opts);
+    if (!store.ok()) {
+      std::abort();
+    }
+    auto fs = store.value()->Recover();
+    if (!fs.ok()) {
+      std::abort();
+    }
+    size_t batch = 0;
+    for (; batch * kFilesPerBatch < files; ++batch) {
+      ApplyBatch(*fs.value(), batch, kFilesPerBatch);
+      if (!store.value()->CommitFrom(*fs.value()).ok()) {
+        std::abort();
+      }
+    }
+    if (!store.value()->Checkpoint(*fs.value()).ok()) {
+      std::abort();
+    }
+    char name[64];
+    std::snprintf(name, sizeof(name), "%016llx",
+                  static_cast<unsigned long long>(store.value()->last_lsn()));
+    image_bytes =
+        fs_std::file_size(fs_std::path(dir) / ("checkpoint-" + std::string(name) + ".hacs"));
+    const fs_std::path segment = fs_std::path(dir) / ("wal-" + std::string(name) + ".log");
+    for (;; ++batch) {
+      const uintmax_t before = fs_std::file_size(segment);
+      ApplyBatch(*fs.value(), batch, kFilesPerBatch);
+      if (!store.value()->CommitFrom(*fs.value()).ok()) {
+        std::abort();
+      }
+      if (store.value()->ShouldCheckpoint()) {
+        fs_std::resize_file(segment, before);
+        break;
+      }
+      tail_bytes = store.value()->bytes_since_checkpoint();
+    }
+  }
+  uint64_t replayed = 0;
+  for (auto _ : state) {
+    auto store = DurableStore::Open(opts);
+    if (!store.ok()) {
+      std::abort();
+    }
+    auto fs = store.value()->Recover();
+    const RecoveryInfo& info = store.value()->recovery_info();
+    if (!fs.ok() || info.tail_truncated || info.replayed_records == 0 ||
+        store.value()->ShouldCheckpoint()) {
+      std::abort();  // recovery must serve the whole tail, and no checkpoint be due
+    }
+    replayed = info.replayed_records;
+    benchmark::DoNotOptimize(fs.value().get());
+    state.PauseTiming();
+    fs.value().reset();
+    state.ResumeTiming();
+  }
+  state.counters["image_MB"] = static_cast<double>(image_bytes) / 1e6;
+  state.counters["tail_MB"] = static_cast<double>(tail_bytes) / 1e6;
+  state.counters["replayed"] = static_cast<double>(replayed);
+}
+// One library whose image is below the 4 MiB floor, one above it. Set-up takes
+// seconds, so each runs a fixed three recoveries.
+BENCHMARK(BM_RecoveryAtPolicyTail)
+    ->Arg(4096)
+    ->Arg(65536)
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace hac

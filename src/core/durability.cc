@@ -47,6 +47,11 @@ Counter& CheckpointsCounter() {
       MetricsRegistry::Global().GetCounter(metric_names::kDurabilityCheckpoints);
   return c;
 }
+Counter& CheckpointBytesCounter() {
+  static Counter& c =
+      MetricsRegistry::Global().GetCounter(metric_names::kDurabilityCheckpointBytes);
+  return c;
+}
 Counter& RecoveriesCounter() {
   static Counter& c =
       MetricsRegistry::Global().GetCounter(metric_names::kDurabilityRecoveries);
@@ -367,6 +372,7 @@ std::vector<DurableStore::DecodedFrame> DurableStore::DecodeFrames(
       break;
     }
     frame.lsn = lsn.value();
+    frame.bytes = 8 + uint64_t{len};
     out.push_back(std::move(frame));
     p += len;
     left -= len;
@@ -496,6 +502,7 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
   // fallback for a checkpoint torn mid-write (its rename never happened, or the
   // image fails its CRC).
   std::unique_ptr<HacFileSystem> fs;
+  uint64_t image_bytes = 0;
   for (const auto& [lsn, path] : ListGeneration(kCheckpointPrefix, kCheckpointSuffix)) {
     auto bytes = ReadWholeFile(path);
     if (!bytes.ok()) {
@@ -525,6 +532,7 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
       continue;
     }
     fs = std::move(loaded).value();
+    image_bytes = image.size();
     recovery_.checkpoint_lsn = cp_lsn.value();
     recovery_.checkpoint_file = path;
     break;
@@ -540,12 +548,22 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
   auto segments = ListGeneration(kWalPrefix, kWalSuffix);
   std::sort(segments.begin(), segments.end());  // ascending for replay
   uint64_t max_lsn = recovery_.checkpoint_lsn;
+  uint64_t tail_bytes = 0;
   bool stopped = false;
   for (size_t i = 0; i < segments.size(); ++i) {
     const auto& [seg_lsn, seg_path] = segments[i];
     if (stopped) {
       std::error_code ec;
       fs_std::remove(seg_path, ec);
+      continue;
+    }
+    // A segment holds no frame above the next segment's start (the rotation that
+    // named the next one happened at the last LSN written), so when that start is
+    // at or below the image's LSN the image covers the whole segment. It stays on
+    // disk for the older retained image but is not read: a damaged frame in it
+    // would otherwise stop the scan and drop the segments the image needs.
+    if (i + 1 < segments.size() && segments[i + 1].first <= recovery_.checkpoint_lsn) {
+      ++recovery_.skipped_segments;
       continue;
     }
     auto bytes = ReadWholeFile(seg_path);
@@ -558,9 +576,9 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
     for (const DecodedFrame& frame : frames) {
       max_lsn = std::max(max_lsn, frame.lsn);
       if (frame.lsn <= recovery_.checkpoint_lsn) {
-        ++recovery_.skipped_records;
         continue;
       }
+      tail_bytes += frame.bytes;
       Result<void> applied = ApplyRecord(*fs, frame.record);
       if (applied.ok()) {
         ++recovery_.replayed_records;
@@ -597,7 +615,9 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
   last_lsn_ = max_lsn;
   last_checkpoint_lsn_ = recovery_.checkpoint_lsn;
   records_since_checkpoint_ = recovery_.replayed_records;
-  bytes_since_checkpoint_ = 0;
+  // The replayed tail still counts against the policy: the next image retires it.
+  bytes_since_checkpoint_ = tail_bytes;
+  last_image_bytes_ = image_bytes;
   // Continue in the newest surviving segment (or start the genesis one).
   uint64_t segment = recovery_.checkpoint_lsn;
   for (const auto& [seg_lsn, seg_path] : ListGeneration(kWalPrefix, kWalSuffix)) {
@@ -646,11 +666,20 @@ Result<void> DurableStore::CommitFrom(HacFileSystem& fs) {
   return OkResult();
 }
 
+// The byte trigger is relative to the last image, at a fixed ratio of 1. At ratio r
+// each image retires r images' worth of WAL: image bytes per WAL byte are 1/r, while
+// the tail recovery replays and the disk the directory holds grow with r. At 1
+// neither exceeds the other: a checkpoint never writes more than the log it retires,
+// and recovery never replays more log than one image holds. The floor keeps small
+// images from checkpointing every few records.
 bool DurableStore::ShouldCheckpoint() const {
-  return (options_.checkpoint_interval_records != 0 &&
-          records_since_checkpoint_ >= options_.checkpoint_interval_records) ||
-         (options_.checkpoint_interval_bytes != 0 &&
-          bytes_since_checkpoint_ >= options_.checkpoint_interval_bytes);
+  if (options_.checkpoint_interval_records != 0 &&
+      records_since_checkpoint_ >= options_.checkpoint_interval_records) {
+    return true;
+  }
+  return options_.checkpoint_interval_bytes != 0 &&
+         bytes_since_checkpoint_ >=
+             std::max(options_.checkpoint_interval_bytes, last_image_bytes_);
 }
 
 Result<void> DurableStore::BeginCheckpoint(const HacFileSystem& fs) {
@@ -668,6 +697,7 @@ Result<void> DurableStore::BeginCheckpoint(const HacFileSystem& fs) {
   last_checkpoint_lsn_ = lsn;
   records_since_checkpoint_ = 0;
   bytes_since_checkpoint_ = 0;
+  last_image_bytes_ = image.size();
   CheckpointBuildHistogram().Record(ElapsedUs(started));
 
   image_ = std::move(image);
@@ -713,6 +743,7 @@ Result<void> DurableStore::Publish(std::vector<uint8_t> image, uint64_t lsn) {
   header.PutU64(lsn);
   header.PutU32(Crc32(image.data(), image.size()));
   header.PutVarint(image.size());
+  const uint64_t file_bytes = header.buffer().size() + image.size();
 
   // Write-temp, fsync, rename, fsync-dir: readers only ever see a complete image
   // under the final name. The temp file stays a RealFile even under fault
@@ -738,6 +769,7 @@ Result<void> DurableStore::Publish(std::vector<uint8_t> image, uint64_t lsn) {
     return Error(ErrorCode::kBusy, "rename " + tmp_path + ": " + ec.message());
   }
   HAC_RETURN_IF_ERROR(SyncDirectory(options_.data_dir));
+  CheckpointBytesCounter().Inc(file_bytes);
   return PruneGenerations();
 }
 

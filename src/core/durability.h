@@ -20,11 +20,12 @@
 //     publisher; Checkpoint() is the two back to back.
 //   * Recovery — Recover() loads the newest checkpoint that validates (magic,
 //     version, CRC), falls back to older generations or an empty file system, then
-//     replays the WAL tail in LSN order through the public facade API, skipping
-//     records at or below the checkpoint LSN and stopping cleanly at the first
-//     torn, truncated, or CRC-corrupt frame (ErrorCode::kCorrupt semantics: the
-//     damaged suffix is discarded, everything before it is served). A final
-//     Reindex() restores data consistency.
+//     replays the WAL tail in LSN order through the public facade API, leaving
+//     segments the checkpoint covers unread, skipping records at or below the
+//     checkpoint LSN and stopping cleanly at the first torn, truncated, or
+//     CRC-corrupt frame (ErrorCode::kCorrupt semantics: the damaged suffix is
+//     discarded, everything before it is served). A final Reindex() restores data
+//     consistency.
 //
 // Fault injection: DurableFile is the seam. FaultyFile buffers writes until Sync()
 // (modelling the volatile page cache) and can crash after N writes, tear the final
@@ -121,9 +122,18 @@ class FaultyFile : public DurableFile {
 
 struct DurabilityOptions {
   std::string data_dir;
-  // Checkpoint policy: ShouldCheckpoint() turns true when this many WAL records
-  // (or bytes) have accumulated since the last checkpoint. 0 disables that trigger.
-  uint64_t checkpoint_interval_records = 4096;
+  // Checkpoint policy. ShouldCheckpoint() turns true once the WAL bytes written
+  // since the last image reach that image's size, and never below
+  // checkpoint_interval_bytes, the floor for small images. Each image then retires
+  // at least its own size of log, so image bytes written per WAL byte stay at or
+  // below about 1, recovery replays about one image's worth of WAL at most, and the
+  // data directory holds two images plus two images' worth of WAL at most
+  // (docs/DURABILITY.md, "Checkpoint policy").
+  // checkpoint_interval_bytes = 0 turns the byte trigger off, size-relative part
+  // included. checkpoint_interval_records, when not 0, also triggers after that
+  // many WAL records; it is off by default and set by tests and
+  // `hacd --checkpoint-records`.
+  uint64_t checkpoint_interval_records = 0;
   uint64_t checkpoint_interval_bytes = 4u << 20;
   // Fault injection for the WAL file, set in code by tests (checkpoint temp files
   // stay real so the matrix rows stay independent). Off by default.
@@ -134,7 +144,7 @@ struct RecoveryInfo {
   uint64_t checkpoint_lsn = 0;     // 0 = recovered from an empty/genesis state
   std::string checkpoint_file;     // empty when no checkpoint was used
   uint64_t replayed_records = 0;   // WAL frames re-executed through the facade
-  uint64_t skipped_records = 0;    // frames at or below the checkpoint LSN
+  uint64_t skipped_segments = 0;   // segments the checkpoint covers, left unread
   uint64_t replay_errors = 0;      // frames whose re-execution failed (tolerated)
   bool tail_truncated = false;     // replay stopped at a torn/corrupt frame
   std::string detail;              // human-readable note about the stop reason
@@ -190,11 +200,16 @@ class DurableStore {
   // generations are pruned.
   Result<void> Checkpoint(const HacFileSystem& fs);
 
+  // The checkpoint policy (DurabilityOptions): true once the WAL since the last
+  // image has reached that image's size (or the configured floor or record count).
   bool ShouldCheckpoint() const;
 
   uint64_t last_lsn() const { return last_lsn_; }
   uint64_t records_since_checkpoint() const { return records_since_checkpoint_; }
+  // WAL frame bytes since the last image; after Recover, the replayed tail's.
   uint64_t bytes_since_checkpoint() const { return bytes_since_checkpoint_; }
+  // SaveState bytes of the last image built or loaded (0 if none).
+  uint64_t last_image_bytes() const { return last_image_bytes_; }
   const DurabilityOptions& options() const { return options_; }
 
   // --- shared frame codec (exposed for tests and fsck tooling) ---
@@ -205,6 +220,7 @@ class DurableStore {
   struct DecodedFrame {
     uint64_t lsn = 0;
     JournalRecord record;
+    uint64_t bytes = 0;  // encoded size: the 8-byte header plus the payload
   };
   // Decodes every valid frame from the front of `bytes`; stops at the first torn,
   // truncated or corrupt frame. `truncated`/`detail` report whether and why the
@@ -235,6 +251,7 @@ class DurableStore {
   uint64_t last_checkpoint_lsn_ = 0;
   uint64_t records_since_checkpoint_ = 0;
   uint64_t bytes_since_checkpoint_ = 0;
+  uint64_t last_image_bytes_ = 0;
   RecoveryInfo recovery_;
 
   // At most one publication in flight. BeginCheckpoint hands the publisher image_,

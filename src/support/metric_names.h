@@ -89,6 +89,9 @@ inline constexpr const char* kServerCursorHarvested = "hac.server.cursor_harvest
 inline constexpr const char* kDurabilityWalAppends = "hac.durability.wal_appends";
 inline constexpr const char* kDurabilityWalBytes = "hac.durability.wal_bytes";
 inline constexpr const char* kDurabilityCheckpoints = "hac.durability.checkpoints";
+// Image bytes published, header included; ÷ wal_bytes = image bytes per WAL byte.
+inline constexpr const char* kDurabilityCheckpointBytes =
+    "hac.durability.checkpoint_bytes";
 inline constexpr const char* kDurabilityRecoveries = "hac.durability.recoveries";
 inline constexpr const char* kDurabilityReplayedRecords =
     "hac.durability.replayed_records";
@@ -169,7 +172,8 @@ inline constexpr const char* kAllCounters[] = {
     kServerCursorOpened, kServerCursorClosed, kServerCursorStale,
     kServerCursorHarvested,
     kDurabilityWalAppends, kDurabilityWalBytes, kDurabilityCheckpoints,
-    kDurabilityRecoveries, kDurabilityReplayedRecords, kDurabilityCorruptFrames,
+    kDurabilityCheckpointBytes, kDurabilityRecoveries, kDurabilityReplayedRecords,
+    kDurabilityCorruptFrames,
     kIndexQueries, kIndexDocsIndexed, kIndexDocsRemoved, kTraceDropped,
 };
 inline constexpr const char* kAllGauges[] = {

@@ -54,11 +54,11 @@ Result<std::string> RunDataDirFsck(const std::string& data_dir) {
   FsckReport report = RunFsck(*fs);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "checkpoint_lsn %llu replayed %llu skipped %llu "
+                "checkpoint_lsn %llu replayed %llu skipped_segments %llu "
                 "tail_truncated %d\nstate_digest %016llx\n",
                 static_cast<unsigned long long>(info.checkpoint_lsn),
                 static_cast<unsigned long long>(info.replayed_records),
-                static_cast<unsigned long long>(info.skipped_records),
+                static_cast<unsigned long long>(info.skipped_segments),
                 info.tail_truncated ? 1 : 0,
                 static_cast<unsigned long long>(StateDigest(*fs)));
   std::string out = buf + report.ToString();

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   std::string data_dir;
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;
-  uint64_t checkpoint_records = 0;  // 0 = DurabilityOptions default
+  uint64_t checkpoint_records = 0;  // 0 = no record trigger (the default)
   int backlog = 0;               // 0 = TcpServerOptions default
   uint32_t idle_timeout_ms = 0;  // 0 = never harvest idle connections
 
@@ -75,9 +75,7 @@ int main(int argc, char** argv) {
   if (!data_dir.empty()) {
     hac::DurabilityOptions dopts;
     dopts.data_dir = data_dir;
-    if (checkpoint_records > 0) {
-      dopts.checkpoint_interval_records = checkpoint_records;
-    }
+    dopts.checkpoint_interval_records = checkpoint_records;
     auto opened = hac::DurableStore::Open(std::move(dopts));
     if (!opened.ok()) {
       std::fprintf(stderr, "hacd: open %s: %s\n", data_dir.c_str(),
@@ -94,10 +92,10 @@ int main(int argc, char** argv) {
     fs = std::move(recovered).value();
     const hac::RecoveryInfo& info = store->recovery_info();
     std::fprintf(stderr,
-                 "hacd: recovered checkpoint_lsn=%llu replayed=%llu skipped=%llu%s\n",
+                 "hacd: recovered checkpoint_lsn=%llu replayed=%llu skipped_segments=%llu%s\n",
                  static_cast<unsigned long long>(info.checkpoint_lsn),
                  static_cast<unsigned long long>(info.replayed_records),
-                 static_cast<unsigned long long>(info.skipped_records),
+                 static_cast<unsigned long long>(info.skipped_segments),
                  info.tail_truncated ? " (tail truncated)" : "");
     hac::FsckReport report = hac::RunFsck(*fs);
     if (!report.Clean()) {

@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "src/core/hac_file_system.h"
+#include "src/support/metric_names.h"
+#include "src/support/metrics.h"
 #include "src/tools/fsck.h"
 
 namespace hac {
@@ -195,6 +197,7 @@ enum class Row {
   kUnpublishedCheckpoint,
   kStaleCheckpointLongTail,
   kCorruptCrcMidLog,
+  kCorruptCoveredSegment,
 };
 
 std::string RowName(Row row) {
@@ -211,6 +214,8 @@ std::string RowName(Row row) {
       return "StaleCheckpointLongTail";
     case Row::kCorruptCrcMidLog:
       return "CorruptCrcMidLog";
+    case Row::kCorruptCoveredSegment:
+      return "CorruptCoveredSegment";
   }
   return "?";
 }
@@ -236,6 +241,10 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
     case Row::kUnpublishedCheckpoint:
       checkpoint_after = 4;
       second_checkpoint_after = 6;
+      break;
+    case Row::kCorruptCoveredSegment:
+      checkpoint_after = 2;
+      second_checkpoint_after = 5;
       break;
     case Row::kStaleCheckpointLongTail:
       checkpoint_after = 1;
@@ -298,6 +307,25 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
     surviving = DurableStore::DecodeFrames(bytes, &truncated, &detail);
     ASSERT_TRUE(truncated) << "the flipped bit must invalidate a frame";
   }
+  std::string newer_checkpoint;
+  if (row == Row::kCorruptCoveredSegment) {
+    // Checkpoint A after batch 2, B after batch 5: wal-<A> holds batches 3-5, which
+    // B covers, and wal-<B> holds batches 6-8. Damage in wal-<A> must not cost the
+    // acknowledged batches in wal-<B>.
+    auto checkpoints = ListFiles(dir, "checkpoint-");
+    ASSERT_EQ(checkpoints.size(), 2u);
+    newer_checkpoint = checkpoints.back();
+    auto wals = ListFiles(dir, "wal-");
+    ASSERT_EQ(wals.size(), 2u);
+    std::vector<uint8_t> bytes = ReadFileBytes(wals.front());
+    ASSERT_GT(bytes.size(), 16u);
+    bytes[bytes.size() / 2] ^= 0x01;
+    WriteFileBytes(wals.front(), bytes);
+    bool truncated = false;
+    std::string detail;
+    (void)DurableStore::DecodeFrames(bytes, &truncated, &detail);
+    ASSERT_TRUE(truncated) << "the flipped bit must invalidate a frame";
+  }
   if (row == Row::kTornLastFrame) {
     // The torn tail is literally on disk: decoding must stop early.
     auto wals = ListFiles(dir, "wal-");
@@ -355,11 +383,20 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
     case Row::kStaleCheckpointLongTail:
       EXPECT_EQ(got, CleanReplayDigest(Workload().size()));
       EXPECT_GT(info.replayed_records, 0u);
-      EXPECT_GT(info.skipped_records, 0u);  // genesis segment predates the checkpoint
+      // The genesis segment predates the checkpoint, which covers it: left unread.
+      EXPECT_EQ(info.skipped_segments, 1u);
       break;
     case Row::kCorruptCrcMidLog:
       EXPECT_EQ(got, FrameReplayDigest(surviving));
       EXPECT_TRUE(info.tail_truncated);
+      break;
+    case Row::kCorruptCoveredSegment:
+      EXPECT_EQ(got, CleanReplayDigest(Workload().size()));
+      EXPECT_EQ(info.checkpoint_file, newer_checkpoint);
+      EXPECT_FALSE(info.tail_truncated) << info.detail;
+      EXPECT_EQ(info.skipped_segments, 1u);
+      EXPECT_GT(info.replayed_records, 0u);
+      EXPECT_EQ(ListFiles(dir, "wal-").size(), 2u);  // wal-<B> survives
       break;
   }
 
@@ -380,7 +417,8 @@ INSTANTIATE_TEST_SUITE_P(DurabilityMatrix, CrashMatrixTest,
                                            Row::kTruncatedCheckpoint,
                                            Row::kUnpublishedCheckpoint,
                                            Row::kStaleCheckpointLongTail,
-                                           Row::kCorruptCrcMidLog),
+                                           Row::kCorruptCrcMidLog,
+                                           Row::kCorruptCoveredSegment),
                          [](const ::testing::TestParamInfo<Row>& param_info) {
                            return RowName(param_info.param);
                          });
@@ -663,6 +701,9 @@ TEST(DurabilityTest, CheckpointReplacesAStaleTempFileOfItsLsn) {
   EXPECT_EQ(DigestOf(*fs.value()), CleanReplayDigest(Workload().size()));
 }
 
+// An explicit record interval still triggers by records. With
+// checkpoint_interval_bytes = 0 the byte trigger is off, size-relative part
+// included: a tail several times the last image's size does not trigger.
 TEST(DurabilityTest, ShouldCheckpointTracksThresholds) {
   const std::string dir = TestDir("Thresholds");
   DurabilityOptions opts;
@@ -681,6 +722,137 @@ TEST(DurabilityTest, ShouldCheckpointTracksThresholds) {
   EXPECT_TRUE(store.value()->ShouldCheckpoint());
   ASSERT_TRUE(store.value()->Checkpoint(*fs.value()).ok());
   EXPECT_FALSE(store.value()->ShouldCheckpoint());
+
+  const uint64_t image = store.value()->last_image_bytes();
+  ASSERT_GT(image, 0u);
+  ASSERT_TRUE(fs.value()->WriteFile("/big", std::string(4 * image, 'b')).ok());
+  ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+  ASSERT_LT(store.value()->records_since_checkpoint(), 3u);
+  ASSERT_GT(store.value()->bytes_since_checkpoint(), 4 * image);
+  EXPECT_FALSE(store.value()->ShouldCheckpoint());
+}
+
+// Commits WAL frames until bytes_since_checkpoint() is exactly `target`: one large
+// write to come within a few hundred bytes, then Mkdirs sized to the byte. A Mkdir
+// appends one kDirCreated frame, which EncodeFrame sizes in advance: the new
+// directory's uid, like every other varint in it here, takes one byte.
+void CommitUntilBytes(HacFileSystem& fs, DurableStore& store, uint64_t target) {
+  static int seq = 0;
+  const auto gap = [&] { return target - store.bytes_since_checkpoint(); };
+  const auto commit_mkdir_frame = [&](uint64_t frame_bytes) {
+    std::vector<uint8_t> pathless;
+    DurableStore::EncodeFrame(store.last_lsn() + 1,
+                              JournalRecord{JournalOp::kDirCreated, 1, "", ""}, pathless);
+    std::string path = "/m" + std::to_string(seq++) + "_";
+    ASSERT_LE(pathless.size() + path.size(), frame_bytes);
+    ASSERT_LT(frame_bytes - pathless.size(), 128u);
+    path.resize(frame_bytes - pathless.size(), 'x');
+    ASSERT_TRUE(fs.Mkdir(path).ok()) << path;
+    ASSERT_TRUE(store.CommitFrom(fs).ok());
+  };
+  ASSERT_LE(store.bytes_since_checkpoint(), target);
+  if (gap() > 500) {
+    ASSERT_TRUE(fs.WriteFile("/fill" + std::to_string(seq++), std::string(gap() - 300, 'f'))
+                    .ok());
+    ASSERT_TRUE(store.CommitFrom(fs).ok());
+  }
+  while (gap() > 140 && !::testing::Test::HasFatalFailure()) {
+    commit_mkdir_frame(80);
+  }
+  commit_mkdir_frame(gap());
+  ASSERT_EQ(store.bytes_since_checkpoint(), target);
+}
+
+// The default trigger: due once the WAL since the last image reaches
+// max(checkpoint_interval_bytes, that image's size), and not one byte earlier.
+// One directory's image is above the floor, the other's below it.
+TEST(DurabilityTest, ShouldCheckpointWaitsForTheLastImagesSize) {
+  for (const bool image_above_floor : {true, false}) {
+    SCOPED_TRACE(image_above_floor ? "image above the floor" : "image below the floor");
+    const std::string dir =
+        TestDir(image_above_floor ? "SizeTriggerLargeImage" : "SizeTriggerSmallImage");
+    DurabilityOptions opts;
+    opts.data_dir = dir;
+    opts.checkpoint_interval_bytes = image_above_floor ? 1024 : 16384;
+    EXPECT_EQ(opts.checkpoint_interval_records, 0u) << "records trigger off by default";
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    EXPECT_EQ(store.value()->last_image_bytes(), 0u);
+    ASSERT_TRUE(fs.value()->WriteFile("/seed.txt", std::string(8192, 's')).ok());
+    ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+    ASSERT_TRUE(store.value()->Checkpoint(*fs.value()).ok());
+    const uint64_t image = store.value()->last_image_bytes();
+    const uint64_t floor = opts.checkpoint_interval_bytes;
+    ASSERT_EQ(image > floor, image_above_floor) << image << " image bytes";
+    const uint64_t due = std::max(image, floor);
+
+    // Past the smaller of the two bounds, 30 bytes short of the larger: not due.
+    ASSERT_NO_FATAL_FAILURE(CommitUntilBytes(*fs.value(), *store.value(), due - 30));
+    EXPECT_GT(store.value()->bytes_since_checkpoint(), std::min(image, floor));
+    EXPECT_FALSE(store.value()->ShouldCheckpoint());
+    ASSERT_NO_FATAL_FAILURE(CommitUntilBytes(*fs.value(), *store.value(), due));
+    EXPECT_TRUE(store.value()->ShouldCheckpoint());
+
+    ASSERT_TRUE(store.value()->Checkpoint(*fs.value()).ok());
+    EXPECT_FALSE(store.value()->ShouldCheckpoint());
+    EXPECT_GT(store.value()->last_image_bytes(), image);  // the tail is in it now
+  }
+}
+
+// Recover counts the replayed tail against the policy and remembers the loaded
+// image's size, so a restarted store checkpoints where the crashed one would have.
+TEST(DurabilityTest, RecoverCountsTheReplayedTailAgainstThePolicy) {
+  for (const uint64_t short_of_due : {uint64_t{30}, uint64_t{0}}) {
+    SCOPED_TRACE(short_of_due);
+    const std::string dir = TestDir("RecoverTail" + std::to_string(short_of_due));
+    DurabilityOptions opts;
+    opts.data_dir = dir;
+    opts.checkpoint_interval_bytes = 1024;
+    uint64_t image = 0;
+    uint64_t tail = 0;
+    {
+      auto store = DurableStore::Open(opts);
+      ASSERT_TRUE(store.ok());
+      auto fs = store.value()->Recover();
+      ASSERT_TRUE(fs.ok());
+      ASSERT_TRUE(fs.value()->WriteFile("/seed.txt", std::string(8192, 's')).ok());
+      ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+      ASSERT_TRUE(store.value()->Checkpoint(*fs.value()).ok());
+      image = store.value()->last_image_bytes();
+      ASSERT_GT(image, opts.checkpoint_interval_bytes);
+      ASSERT_NO_FATAL_FAILURE(CommitUntilBytes(*fs.value(), *store.value(), image - short_of_due));
+      tail = store.value()->bytes_since_checkpoint();
+    }  // crash: no checkpoint retires the tail
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    EXPECT_GT(store.value()->recovery_info().replayed_records, 0u);
+    EXPECT_EQ(store.value()->last_image_bytes(), image);
+    EXPECT_EQ(store.value()->bytes_since_checkpoint(), tail);
+    EXPECT_EQ(store.value()->ShouldCheckpoint(), short_of_due == 0);
+  }
+}
+
+// hac.durability.checkpoint_bytes counts each published file, header included.
+TEST(DurabilityTest, CheckpointBytesCountsThePublishedFile) {
+  const std::string dir = TestDir("CheckpointBytes");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  RunBatches(*fs.value(), *store.value(), 0);
+  Counter& published =
+      MetricsRegistry::Global().GetCounter(metric_names::kDurabilityCheckpointBytes);
+  const uint64_t before = published.Value();
+  ASSERT_TRUE(store.value()->Checkpoint(*fs.value()).ok());
+  const uint64_t file = fs_std::file_size(CheckpointName(dir, store.value()->last_lsn()));
+  EXPECT_EQ(published.Value() - before, file);
+  EXPECT_GT(file, store.value()->last_image_bytes());
 }
 
 TEST(DurabilityTest, OpenRejectsEmptyDataDir) {
