@@ -26,7 +26,7 @@ class ServiceClient : public ClientApi {
   ServiceClient& operator=(const ServiceClient&) = delete;
 
   uint64_t session_id() const { return session_->id(); }
-  const std::string& cwd() const { return session_->cwd(); }
+  std::string cwd() const { return session_->cwd(); }
 
  protected:
   ServerResponse Transport(ServerRequest req) override;

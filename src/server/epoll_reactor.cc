@@ -134,6 +134,7 @@ int EpollReactor::TickTimeoutMs() const {
 }
 
 void EpollReactor::Run() {
+  loop_id_ = std::this_thread::get_id();
   std::vector<epoll_event> events(128);
   for (;;) {
     int n = ::epoll_wait(epfd_, events.data(), static_cast<int>(events.size()),
@@ -334,10 +335,17 @@ void EpollReactor::WireError(Conn* c, const Error& err) {
 
 void EpollReactor::PostCompletion(Conn* c, uint64_t seq, ServerResponse resp) {
   // The response is encoded, and freed, on the thread that completed it (a reader,
-  // the writer, or the reactor itself for an inline rejection): the reactor thread
-  // only orders frames and writes them. `resp` is freed on return, after the wake,
-  // so freeing a large response overlaps its send.
+  // the writer, or the reactor itself for an inline read or rejection): the reactor
+  // thread only orders frames and writes them. `resp` is freed on return, after the
+  // wake, so freeing a large response overlaps its send.
   std::vector<uint8_t> frame = EncodeResponseFrame(resp);
+  if (std::this_thread::get_id() == loop_id_) {
+    // Completed inside HandleReadable's submit loop, whose PumpResponses/Flush
+    // sends it in this same wake.
+    --c->inflight;
+    c->reorder.emplace(seq, std::move(frame));
+    return;
+  }
   // posters_ keeps the reactor thread (and therefore ~EpollReactor) from
   // finishing while this service-worker call is still on the stack: the
   // completion below hands the frame off, but this function keeps touching

@@ -9,8 +9,11 @@
 //     are encoded into frames there, are handed back through the reactor's
 //     completion queue (eventfd wake), and a per-connection sequence-number reorder
 //     buffer of frames restores strict request order before anything hits the
-//     socket. The reactor thread encodes only what it completes itself: inline
-//     rejections and its own pseudo-responses (wire errors, CloseSession refusals).
+//     socket. The reactor thread encodes only what it completes itself: the bounded
+//     reads the service runs inline (Stat, Lstat, ReadLink, GetQuery, Seek while no
+//     writer is pending), inline rejections, and its own pseudo-responses (wire
+//     errors, CloseSession refusals). Those go straight into the reorder buffer and
+//     leave in the same wake, with no completion queue and no eventfd write.
 //   * Vectored write coalescing — all response frames pending on a connection are
 //     sent with one sendmsg(iovec) per writable wake, so a group-commit batch that
 //     completes N pipelined writes together costs one syscall, not N
@@ -26,8 +29,9 @@
 // Threading contract: all connection state is owned by the reactor thread. The
 // only cross-thread surfaces are Adopt() (acceptor -> reactor handoff queue),
 // the completion queue (service worker threads -> reactor), and the stop flag;
-// each is a mutex-guarded vector plus an eventfd wake. Service callbacks never
-// touch connection state directly — they enqueue and wake.
+// each is a mutex-guarded vector plus an eventfd wake. Service callbacks on other
+// threads never touch connection state directly — they enqueue and wake; a
+// callback on the reactor thread itself (an inline completion) appends directly.
 #ifndef HAC_SERVER_EPOLL_REACTOR_H_
 #define HAC_SERVER_EPOLL_REACTOR_H_
 
@@ -134,7 +138,8 @@ class EpollReactor {
   void HandleEvent(Conn* c, uint32_t events);
   // Queues the decode error as the connection's final, order-preserving response.
   void WireError(Conn* c, const Error& err);
-  // Called from service worker threads (or inline): encode, enqueue the frame, wake.
+  // Called from service worker threads: encode, enqueue the frame, wake. Called on
+  // the reactor thread (an inline completion): encode into the reorder buffer.
   void PostCompletion(Conn* c, uint64_t seq, ServerResponse resp);
   // Moves in-order responses from the reorder buffer into the write queue.
   void PumpResponses(Conn* c);
@@ -151,6 +156,9 @@ class EpollReactor {
   int epfd_ = -1;
   int wake_fd_ = -1;  // guarded by wake_mu_ against Wake()/Join() teardown races
   std::thread thread_;
+  // Set by Run() before it submits anything, so every poster's read of it is
+  // ordered after the write by the service's hand-off of the request.
+  std::thread::id loop_id_;
   std::atomic<bool> stopping_ = false;
   bool shutdown_issued_ = false;
 

@@ -53,6 +53,25 @@ ServiceMetrics& GM() {
   return *m;
 }
 
+// The reads SubmitCallback may run on the submitting thread: each does a bounded
+// amount of facade work, answers with a bounded response, and takes no lock but the
+// shared fs lock. Left out: Ping (the read_hook tests park reader threads with it);
+// ReadDir, Search, GetLinkClasses and ReadFd (unbounded responses); the cursor ops
+// (a fetch holds the session's cursor-table mutex for a whole page, so the submitter
+// could block behind it); Chdir and Stats. Introspect is answered before this.
+bool RunsInline(ServerOp op) {
+  switch (op) {
+    case ServerOp::kStat:
+    case ServerOp::kLstat:
+    case ServerOp::kReadLink:
+    case ServerOp::kGetQuery:
+    case ServerOp::kSeek:
+      return true;
+    default:
+      return false;
+  }
+}
+
 uint64_t WaitedUs(const std::chrono::steady_clock::time_point& enqueued) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                    std::chrono::steady_clock::now() - enqueued)
@@ -81,13 +100,14 @@ ServerResponse HacService::Overloaded(const std::string& why) {
 }
 
 std::string HacService::Absolutize(const Session& session, const std::string& path) {
-  if (path.empty()) {
-    return session.cwd();
-  }
-  if (path.front() == '/') {
+  if (!path.empty() && path.front() == '/') {
     return NormalizePath(path);
   }
-  return NormalizePath(JoinPath(session.cwd() == "/" ? "" : session.cwd(), path));
+  std::string cwd = session.cwd();
+  if (path.empty()) {
+    return cwd;
+  }
+  return NormalizePath(JoinPath(cwd == "/" ? "" : cwd, path));
 }
 
 Session* HacService::OpenSession() {
@@ -170,6 +190,19 @@ void HacService::SubmitCallback(Session* session, ServerRequest req,
     done(Overloaded("service is stopping"));
     return;
   }
+  // A bounded read runs here, on the submitting thread, when no writer is pending
+  // and the shared lock is free; it never waits for either, and it never queued, so
+  // there is nothing to shed.
+  if (RunsInline(req.op) && !writer_pending_.load(std::memory_order_acquire) &&
+      fs_lock_.try_lock_shared()) {
+    admitted_reads_.Inc();
+    inline_reads_.Inc();
+    TraceSpan span(metric_names::kSpanServiceRead);
+    span.Arg("op", static_cast<uint64_t>(req.op));
+    span.Arg("inline", 1);
+    FinishRead(session, req, TraceRing::NowUs(), done);
+    return;
+  }
 
   // Admission control: a full (or, once Stop() has run, closed) queue rejects.
   const bool read = IsReadOp(req.op);
@@ -237,16 +270,22 @@ void HacService::RunRead(Pending& p) {
   GM().queue_wait_read_us.Record(WaitedUs(p.enqueued));
   TraceSpan span(metric_names::kSpanServiceRead);
   span.Arg("op", static_cast<uint64_t>(p.req.op));
+  span.Arg("inline", 0);
   const uint64_t t0 = TraceRing::NowUs();
   ReaderLockShared();
   if (options_.read_hook) {
     options_.read_hook();
   }
-  ServerResponse resp = ExecuteRead(p.session, p.req);
+  FinishRead(p.session, p.req, t0, p.done);
+}
+
+void HacService::FinishRead(Session* session, const ServerRequest& req, uint64_t t0,
+                            const ResponseCallback& done) {
+  ServerResponse resp = ExecuteRead(session, req);
   fs_lock_.unlock_shared();
   GM().service_time_read_us.Record(TraceRing::NowUs() - t0);
   executed_reads_.Inc();
-  p.done(std::move(resp));
+  done(std::move(resp));
 }
 
 void HacService::WriterLoop() {
@@ -483,9 +522,9 @@ ServerResponse HacService::ExecuteRead(Session* session, const ServerRequest& re
         resp.error = Error(ErrorCode::kNotADirectory, abs + " is not a directory");
         break;
       }
-      // Session-local state; safe under the shared lock because one client drives
-      // each session.
-      session->cwd_ = abs;
+      // Session-local state, guarded by the session: a pipelined relative read of
+      // the same session may resolve against the cwd meanwhile.
+      session->SetCwd(abs);
       resp.text = abs;
       break;
     }
@@ -828,6 +867,7 @@ ServiceStats HacService::Stats() const {
   s.admitted_writes = admitted_writes_.Value();
   s.rejected_queue_full = rejected_queue_full_.Value();
   s.shed_deadline = shed_deadline_.Value();
+  s.inline_reads = inline_reads_.Value();
   s.executed_reads = executed_reads_.Value();
   s.executed_writes = executed_writes_.Value();
   s.write_batches = write_batches_.Value();

@@ -9,6 +9,10 @@
 //     concurrently; each execution holds the shared side of one std::shared_mutex.
 //     Read paths through the facade are mutation-free on shared state (atomic stats
 //     counters, locked attribute cache), so any number of readers may overlap.
+//   * Bounded reads skip the queue: Stat, Lstat, ReadLink, GetQuery and Seek run on
+//     the submitting thread (the in-process client's, or an epoll reactor's) when no
+//     writer is pending and the shared lock is free to take without waiting. The
+//     submitting thread never blocks: otherwise the read queues as above.
 //   * Write-class requests are drained by ONE writer thread. The writer takes the
 //     exclusive side of the lock, wraps each drained group of pending mutations in a
 //     single ConsistencyEngine BatchScope, executes them back-to-back, and completes
@@ -18,10 +22,12 @@
 //     checkpoint image is built afterwards under the shared lock.
 //   * Writer priority: readers pause admission to the lock while the writer is
 //     waiting (std::shared_mutex makes no fairness promise), so a query storm cannot
-//     starve mutations.
+//     starve mutations. Queued readers wait at the gate; inline reads see the same
+//     flag and queue instead.
 //   * Admission control: both queues are bounded. A full queue rejects immediately
 //     with Error::kOverloaded; a request that waited in queue longer than its class
-//     timeout is shed (also kOverloaded) instead of executing stale work.
+//     timeout is shed (also kOverloaded) instead of executing stale work. An inline
+//     read never waited, so it is never shed.
 //
 // The facade must be driven only through the service while the service is running;
 // direct HacFileSystem calls from other threads would bypass the lock.
@@ -58,8 +64,9 @@ struct ServiceOptions {
   // kOverloaded. Zero disables the deadline for that class.
   std::chrono::milliseconds read_queue_timeout{2000};
   std::chrono::milliseconds write_queue_timeout{5000};
-  // Test hook: runs on the worker thread right before a read request executes (after
-  // the shared lock is held). Used to make overload/timeout tests deterministic.
+  // Test hook: runs on the reader thread right before a queued read request executes
+  // (after the shared lock is held). Used to make overload/timeout tests
+  // deterministic. Reads that run on the submitting thread never call it.
   std::function<void()> read_hook;
   // Server-side cursor policy (docs/API.md "Cursor ops"). A session holds at
   // most this many open cursors; kOpenCursor beyond the cap is refused with
@@ -80,11 +87,12 @@ struct ServiceOptions {
 };
 
 struct ServiceStats {
-  uint64_t admitted_reads = 0;
+  uint64_t admitted_reads = 0;       // queued or run inline
   uint64_t admitted_writes = 0;
   uint64_t rejected_queue_full = 0;  // explicit kOverloaded at submission
   uint64_t shed_deadline = 0;        // kOverloaded after waiting past the class timeout
-  uint64_t executed_reads = 0;
+  uint64_t inline_reads = 0;         // reads run on the submitting thread
+  uint64_t executed_reads = 0;       // inline ones included
   uint64_t executed_writes = 0;
   uint64_t write_batches = 0;        // BatchScope groups the writer committed
   uint64_t largest_write_batch = 0;
@@ -108,10 +116,12 @@ class HacService {
 
   // The one submission path: `done` fires exactly once with the response, on
   // whichever thread completes the request — a reader worker, the writer thread,
-  // or (for inline completions: admission rejection, kIntrospect, null session)
-  // the caller's own thread. The callback must be cheap and must not re-enter the
-  // service; the epoll transport uses it to hand the response to the connection's
-  // owning reactor. Admission control may complete it immediately with kOverloaded.
+  // or the caller's own thread, before this returns. The caller's thread completes
+  // admission rejections, kIntrospect, a null session, and the bounded reads that
+  // run inline (Stat, Lstat, ReadLink, GetQuery, Seek while no writer is pending).
+  // The callback must be cheap and must not re-enter the service; the epoll
+  // transport uses it to hand the response to the connection's owning reactor.
+  // Admission control may complete it immediately with kOverloaded.
   using ResponseCallback = std::function<void(ServerResponse)>;
   void SubmitCallback(Session* session, ServerRequest req, ResponseCallback done);
 
@@ -162,6 +172,10 @@ class HacService {
 
   void ReaderLoop();
   void RunRead(Pending& p);
+  // Runs `req` under the shared lock the caller holds, releases the lock, records
+  // the service time since `t0`, and completes `done`.
+  void FinishRead(Session* session, const ServerRequest& req, uint64_t t0,
+                  const ResponseCallback& done);
   void WriterLoop();
   // After a committed batch: builds a checkpoint if `requested` (waiting for any
   // publication in flight first, then for its own) or if the store's policy wants
@@ -188,6 +202,7 @@ class HacService {
   Counter admitted_writes_{metric_names::kServiceAdmittedWrites};
   Counter rejected_queue_full_{metric_names::kServiceRejectedQueueFull};
   Counter shed_deadline_{metric_names::kServiceShedDeadline};
+  Counter inline_reads_{metric_names::kServiceInlineReads};
   Counter executed_reads_{metric_names::kServiceExecutedReads};
   Counter executed_writes_{metric_names::kServiceExecutedWrites};
   Counter write_batches_{metric_names::kServiceWriteBatches};
@@ -198,7 +213,8 @@ class HacService {
   std::shared_mutex fs_lock_;
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
-  bool writer_pending_ = false;
+  // Written under gate_mu_ (gate_cv_ waits on it); inline reads load it without.
+  std::atomic<bool> writer_pending_ = false;
 
   BoundedMpscQueue<Pending> read_queue_;
   BoundedMpscQueue<Pending> write_queue_;

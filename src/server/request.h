@@ -6,7 +6,9 @@
 // guaranteed not to mutate shared HAC state (per-session descriptor state only);
 // write-class ops are drained by the single-writer batching scheduler, which wraps
 // each drained group in one ConsistencyEngine BatchScope so N concurrent writers pay
-// one topological pass.
+// one topological pass. Five bounded reads — Stat, Lstat, ReadLink, GetQuery, Seek —
+// skip the read queue while no writer is pending and run under the shared lock on the
+// submitting thread (HacService::SubmitCallback; the allow-list is fixed there).
 //
 // Classification table (see DESIGN.md "Service layer & threading model"):
 //   read  — Ping, ReadDir, Search, Stat, Lstat, ReadFd, Seek, GetQuery,

@@ -3,16 +3,17 @@
 // A session owns a descriptor namespace (a BasicFdTable mapping session descriptors
 // to the facade's HAC descriptors, so clients can never touch each other's open
 // files) and a current working directory that relative request paths resolve
-// against. A session is driven
-// by one synchronous client at a time — the service relies on that for the session's
-// own mutable state (cwd, per-descriptor offsets), which is why Chdir/ReadFd/Seek can
-// run on the concurrent read path.
+// against. A session is driven by one client at a time — the service relies on that
+// for the per-descriptor offsets, which is why ReadFd/Seek can run on the concurrent
+// read path.
 //
-// The cursor table is the exception to that single-driver assumption: the epoll
-// transport pipelines, so two read-class cursor ops of one session can overlap on
-// the reader threads, and the idle sweep harvests from the reactor thread. The table
-// therefore carries its own mutex, held across a whole fetch (serializing fetches
-// per session — the token update must pair with the page it produced).
+// The cwd and the cursor table are the exceptions to that one-client assumption: the
+// epoll transport pipelines, so read-class ops of one session overlap — on the
+// reader threads, and on the reactor thread, which runs bounded reads inline (a
+// relative Stat resolves against the cwd while a pipelined Chdir sets it). Each
+// therefore carries its own mutex. The cursor table's is held across a whole fetch
+// (serializing fetches per session — the token update must pair with the page it
+// produced), and the idle sweep harvests from the reactor thread under it.
 #ifndef HAC_SERVER_SESSION_H_
 #define HAC_SERVER_SESSION_H_
 
@@ -21,6 +22,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "src/core/paging.h"
 #include "src/vfs/fd_table.h"
@@ -82,7 +84,11 @@ class CursorTable {
 class Session {
  public:
   uint64_t id() const { return id_; }
-  const std::string& cwd() const { return cwd_; }
+  // A copy: a pipelined Chdir of the same session may replace it meanwhile.
+  std::string cwd() const {
+    std::lock_guard<std::mutex> lk(cwd_mu_);
+    return cwd_;
+  }
   size_t OpenDescriptors() const { return fds_.OpenCount(); }
 
   // The transports reach the table directly for idle harvesting (lock its mu).
@@ -93,7 +99,13 @@ class Session {
 
   explicit Session(uint64_t id) : id_(id) {}
 
+  void SetCwd(std::string cwd) {
+    std::lock_guard<std::mutex> lk(cwd_mu_);
+    cwd_ = std::move(cwd);
+  }
+
   uint64_t id_;
+  mutable std::mutex cwd_mu_;
   std::string cwd_ = "/";
   BasicFdTable<Fd> fds_;  // session fd -> facade fd
   CursorTable cursors_;

@@ -52,6 +52,7 @@ inline constexpr const char* kServiceAdmittedWrites = "hac.service.admitted_writ
 inline constexpr const char* kServiceRejectedQueueFull =
     "hac.service.rejected_queue_full";
 inline constexpr const char* kServiceShedDeadline = "hac.service.shed_deadline";
+inline constexpr const char* kServiceInlineReads = "hac.service.inline_reads";
 inline constexpr const char* kServiceExecutedReads = "hac.service.executed_reads";
 inline constexpr const char* kServiceExecutedWrites = "hac.service.executed_writes";
 inline constexpr const char* kServiceWriteBatches = "hac.service.write_batches";
@@ -163,8 +164,9 @@ inline constexpr const char* kAllCounters[] = {
     kLinksTransientAdded, kLinksTransientRemoved, kReindexDocsIndexed,
     kReindexDocsPurged, kReindexAuto, kRemoteSearches, kRemoteImports, kAttrCacheHits,
     kAttrCacheMisses, kServiceAdmittedReads, kServiceAdmittedWrites,
-    kServiceRejectedQueueFull, kServiceShedDeadline, kServiceExecutedReads,
-    kServiceExecutedWrites, kServiceWriteBatches, kServiceIntrospectRequests,
+    kServiceRejectedQueueFull, kServiceShedDeadline, kServiceInlineReads,
+    kServiceExecutedReads, kServiceExecutedWrites, kServiceWriteBatches,
+    kServiceIntrospectRequests,
     kServiceSessionsOpened, kServiceSessionsClosed, kServerBytesIn, kServerBytesOut,
     kServerConnectionsOpened, kServerConnectionsClosed, kServerWireErrors,
     kServerEpollWakeups, kServerBackpressureStalls, kServerIdleCloses,

@@ -1,19 +1,22 @@
-// Epoll transport tests: request pipelining with in-order responses, slow-reader
-// backpressure (no loss, bounded buffering), partial-write resumption on
-// multi-megabyte frames, idle-connection harvesting, the connection cap, and the
-// client-side receive timeout against a server that never answers. The mixed-workload stress test is
-// the body of the server_epoll_tsan_gate ctest (tests/CMakeLists.txt,
-// HAC_SANITIZE=thread).
+// Epoll transport tests: request pipelining with in-order responses (reads the
+// reactor runs inline mixed with queued ones), slow-reader backpressure (no loss,
+// bounded buffering), partial-write resumption on multi-megabyte frames,
+// idle-connection harvesting, the connection cap, and the client-side receive
+// timeout against a server that never answers. The mixed-workload stress test and
+// the pipelining tests are the body of the server_epoll_tsan_gate ctest
+// (tests/CMakeLists.txt, HAC_SANITIZE=thread).
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -81,6 +84,32 @@ class PipelinedConn {
   }
 
   void SendRequest(const ServerRequest& req) { Send(EncodeRequestFrame(req)); }
+
+  // Pipelines `requests` in windows of `window` frames: each window goes out in one
+  // send, and its responses are read before the next window. The window bounds how
+  // many reads one connection queues at once (the read queue holds
+  // ServiceOptions::max_read_queue, 256 by default).
+  std::vector<ServerResponse> Pipeline(const std::vector<ServerRequest>& requests,
+                                       size_t window) {
+    std::vector<ServerResponse> out;
+    for (size_t at = 0; at < requests.size(); at += window) {
+      const size_t end = std::min(requests.size(), at + window);
+      std::vector<uint8_t> bytes;
+      for (size_t i = at; i < end; ++i) {
+        const std::vector<uint8_t> frame = EncodeRequestFrame(requests[i]);
+        bytes.insert(bytes.end(), frame.begin(), frame.end());
+      }
+      Send(bytes);
+      std::vector<ServerResponse> got = ReadResponses(end - at);
+      const bool complete = got.size() == end - at;
+      out.insert(out.end(), std::make_move_iterator(got.begin()),
+                 std::make_move_iterator(got.end()));
+      if (!complete) {
+        break;
+      }
+    }
+    return out;
+  }
 
   // Blocks until `count` response frames have decoded (or the peer closes).
   // chunk/pause throttle the reads to keep this side slow on purpose.
@@ -194,6 +223,117 @@ TEST_F(EpollServerTest, PipelinedRequestsAnswerInRequestOrder) {
   auto stats = server_->Stats();
   EXPECT_GE(stats.frames_in, static_cast<uint64_t>(kRequests));
   EXPECT_EQ(stats.wire_errors, 0u);
+}
+
+ServerRequest Req(ServerOp op, std::string path, std::string aux = "") {
+  ServerRequest req;
+  req.op = op;
+  req.path = std::move(path);
+  req.aux = std::move(aux);
+  return req;
+}
+
+// Rounds of [ReadDir, Stat, Search, Lstat, GetQuery, ReadLink] on one connection:
+// the reactor runs Stat, Lstat, GetQuery and ReadLink itself and queues the other
+// two for the readers, so each round's frames complete on different threads and in
+// a different order than they were sent. Every answer must still arrive in request
+// order, byte-for-byte the answer the in-process service gives.
+TEST_F(EpollServerTest, PipelinedInlineAndQueuedReadsMatchInProcessAnswers) {
+  ASSERT_TRUE(fs_.Mkdir("/d").ok());
+  constexpr int kFiles = 8;
+  for (int k = 0; k < kFiles; ++k) {
+    ASSERT_TRUE(fs_.WriteFile("/d/f" + std::to_string(k) + ".txt",
+                              std::string(k % 2 == 0 ? "whorl " : "ridge ") +
+                                  std::string(static_cast<size_t>(k), 'x'))
+                    .ok());
+  }
+  ASSERT_TRUE(fs_.Reindex().ok());
+  const std::string queries[2] = {"whorl", "ridge"};
+  std::vector<std::string> links[2];
+  for (int q = 0; q < 2; ++q) {
+    const std::string dir = "/s" + std::to_string(q);
+    ASSERT_TRUE(fs_.SMkdir(dir, queries[q]).ok());
+    auto entries = fs_.ReadDir(dir);
+    ASSERT_TRUE(entries.ok());
+    for (const DirEntry& e : entries.value()) {
+      links[q].push_back(dir + "/" + e.name);
+    }
+    ASSERT_EQ(links[q].size(), static_cast<size_t>(kFiles / 2));
+  }
+  StartServer();
+
+  constexpr int kRounds = 200;
+  std::vector<ServerRequest> requests;
+  for (int i = 0; i < kRounds; ++i) {
+    const int q = i % 2;
+    const std::string& link = links[q][static_cast<size_t>(i / 2) % links[q].size()];
+    const std::string file = "/d/f" + std::to_string(i % kFiles) + ".txt";
+    requests.push_back(Req(ServerOp::kReadDir, "/s" + std::to_string(q)));
+    requests.push_back(Req(ServerOp::kStat, file));
+    requests.push_back(Req(ServerOp::kSearch, "/d", queries[q]));
+    requests.push_back(Req(ServerOp::kLstat, link));
+    requests.push_back(Req(ServerOp::kGetQuery, "/s" + std::to_string(q)));
+    requests.push_back(Req(ServerOp::kReadLink, link));
+  }
+  Session* local = service_->OpenSession();
+  std::vector<std::vector<uint8_t>> expected;
+  for (const ServerRequest& req : requests) {
+    ServerResponse resp = service_->Call(local, req);
+    ASSERT_TRUE(resp.ok()) << ServerOpName(req.op) << " " << req.path;
+    expected.push_back(EncodeResponseFrame(resp));
+  }
+  ASSERT_TRUE(service_->CloseSession(local).ok());
+
+  const uint64_t inline0 = service_->Stats().inline_reads;
+  PipelinedConn conn(server_->port());
+  ASSERT_TRUE(conn.ok());
+  // 20 rounds per window: 120 frames, 40 of them queued.
+  auto responses = conn.Pipeline(requests, 120);
+  ASSERT_EQ(responses.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(EncodeResponseFrame(responses[i]), expected[i])
+        << i << ": " << ServerOpName(requests[i].op) << " " << requests[i].path;
+  }
+  // Nothing writes, so the writer never stands in the way: all four bounded reads
+  // of every round ran on the reactor.
+  EXPECT_EQ(service_->Stats().inline_reads - inline0, 4u * kRounds);
+  EXPECT_EQ(server_->Stats().wire_errors, 0u);
+}
+
+// A pipelined Chdir sets the session's cwd on a reader thread while the reactor
+// resolves the next relative Stat against it. Each Stat sees one directory or the
+// other (docs/API.md allows either state), and the cwd is never read while being
+// written: under TSan this is the race check.
+TEST_F(EpollServerTest, PipelinedChdirAndRelativeReadsSeeEitherDirectory) {
+  ASSERT_TRUE(fs_.Mkdir("/a").ok());
+  ASSERT_TRUE(fs_.Mkdir("/b").ok());
+  ASSERT_TRUE(fs_.WriteFile("/a/f.txt", "a").ok());
+  ASSERT_TRUE(fs_.WriteFile("/b/f.txt", "bb").ok());
+  StartServer();
+
+  constexpr int kRounds = 500;
+  PipelinedConn conn(server_->port());
+  ASSERT_TRUE(conn.ok());
+  // Leave "/" first, so that every relative Stat finds a file.
+  conn.SendRequest(Req(ServerOp::kChdir, "/b"));
+  ASSERT_EQ(conn.ReadResponses(1).size(), 1u);
+  std::vector<ServerRequest> requests;
+  for (int i = 0; i < kRounds; ++i) {
+    requests.push_back(Req(ServerOp::kChdir, i % 2 == 0 ? "/a" : "/b"));
+    requests.push_back(Req(ServerOp::kStat, "f.txt"));
+  }
+  // 50 rounds per window: 50 queued Chdirs.
+  auto responses = conn.Pipeline(requests, 100);
+  ASSERT_EQ(responses.size(), static_cast<size_t>(2 * kRounds));
+  for (int i = 0; i < kRounds; ++i) {
+    const ServerResponse& chdir = responses[static_cast<size_t>(2 * i)];
+    const ServerResponse& stat = responses[static_cast<size_t>(2 * i + 1)];
+    ASSERT_TRUE(chdir.ok()) << i << ": " << chdir.error.ToString();
+    EXPECT_EQ(chdir.text, i % 2 == 0 ? "/a" : "/b") << i;
+    ASSERT_TRUE(stat.ok()) << i << ": " << stat.error.ToString();
+    EXPECT_TRUE(stat.st.size == 1 || stat.st.size == 2) << i << ": " << stat.st.size;
+  }
+  EXPECT_EQ(server_->Stats().wire_errors, 0u);
 }
 
 TEST_F(EpollServerTest, SlowReaderTripsBackpressureAndLosesNothing) {

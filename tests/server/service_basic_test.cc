@@ -1,14 +1,16 @@
-// HacService scheduling tests: write batching and admission control (queue-full
-// rejection and queue-deadline shedding), made deterministic with the service's
-// read_hook test hook. Client-visible behaviour (op parity, session isolation,
-// descriptor lifecycle) lives in client_contract_test.cc, which runs the same
-// assertions over both the in-process and the TCP transport.
+// HacService scheduling tests: write batching, admission control (queue-full
+// rejection and queue-deadline shedding) and which reads run on the submitting
+// thread, made deterministic with the service's read_hook test hook. Client-visible
+// behaviour (op parity, session isolation, descriptor lifecycle) lives in
+// client_contract_test.cc, which runs the same assertions over both the in-process
+// and the TCP transport.
 #include "src/server/hac_service.h"
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -61,10 +63,166 @@ class ReadGate {
   bool released_ = false;
 };
 
+// The response of one submission and the thread its callback ran on.
+struct Completed {
+  std::thread::id thread;
+  ServerResponse resp;
+};
+
+Completed SubmitAndWait(HacService& service, Session* s, ServerRequest req) {
+  auto done = std::make_shared<std::promise<Completed>>();
+  std::future<Completed> fut = done->get_future();
+  service.SubmitCallback(s, std::move(req), [done](ServerResponse resp) {
+    done->set_value(Completed{std::this_thread::get_id(), std::move(resp)});
+  });
+  return fut.get();
+}
+
 class ServiceBasicTest : public ::testing::Test {
  protected:
   HacFileSystem fs_;
 };
+
+// With the writer idle, the bounded reads run on the submitting thread: the
+// callback fires before SubmitCallback returns, and each counts once as admitted,
+// inline and executed. Errors (a bad descriptor) run inline too.
+TEST_F(ServiceBasicTest, BoundedReadsRunOnTheSubmittingThread) {
+  ASSERT_TRUE(fs_.Mkdir("/docs").ok());
+  ASSERT_TRUE(fs_.WriteFile("/docs/a.txt", "fingerprint").ok());
+  ASSERT_TRUE(fs_.Symlink("/docs/a.txt", "/docs/link").ok());
+  ASSERT_TRUE(fs_.Reindex().ok());
+  ASSERT_TRUE(fs_.SMkdir("/fp", "fingerprint").ok());
+  HacService service(fs_);
+  Session* s = service.OpenSession();
+
+  const ServiceStats before = service.Stats();
+  Completed stat = SubmitAndWait(service, s, MakeReq(ServerOp::kStat, "/docs/a.txt"));
+  EXPECT_EQ(stat.thread, std::this_thread::get_id());
+  ASSERT_TRUE(stat.resp.ok()) << stat.resp.error.ToString();
+  EXPECT_EQ(stat.resp.st.size, 11u);
+  ServiceStats after = service.Stats();
+  EXPECT_EQ(after.inline_reads - before.inline_reads, 1u);
+  EXPECT_EQ(after.admitted_reads - before.admitted_reads, 1u);
+  EXPECT_EQ(after.executed_reads - before.executed_reads, 1u);
+
+  ServerRequest open = MakeReq(ServerOp::kOpen, "/docs/a.txt");
+  open.flags = kOpenRead;
+  ServerResponse opened = service.Call(s, open);
+  ASSERT_TRUE(opened.ok());
+  ServerRequest seek = MakeReq(ServerOp::kSeek);
+  seek.fd = opened.fd;
+  seek.size = 4;
+  ServerRequest bad_seek = seek;
+  bad_seek.fd = opened.fd + 100;
+  const std::vector<ServerRequest> bounded = {
+      MakeReq(ServerOp::kLstat, "/docs/link"), MakeReq(ServerOp::kReadLink, "/docs/link"),
+      MakeReq(ServerOp::kGetQuery, "/fp"), seek, bad_seek,
+      MakeReq(ServerOp::kStat, "/missing")};
+  std::vector<Completed> answers;
+  for (const ServerRequest& req : bounded) {
+    const uint64_t inline0 = service.Stats().inline_reads;
+    answers.push_back(SubmitAndWait(service, s, req));
+    EXPECT_EQ(answers.back().thread, std::this_thread::get_id()) << ServerOpName(req.op);
+    EXPECT_EQ(service.Stats().inline_reads - inline0, 1u) << ServerOpName(req.op);
+  }
+  EXPECT_EQ(answers[0].resp.st.type, NodeType::kSymlink);
+  EXPECT_EQ(answers[1].resp.text, "/docs/a.txt");
+  EXPECT_EQ(answers[2].resp.text, "fingerprint");
+  EXPECT_EQ(answers[3].resp.size, 4u);
+  EXPECT_EQ(answers[4].resp.error.code, ErrorCode::kBadDescriptor);
+  EXPECT_EQ(answers[5].resp.error.code, ErrorCode::kNotFound);
+  ASSERT_TRUE(service.CloseSession(s).ok());
+}
+
+// Reads with unbounded responses, the cursor ops, Ping, Chdir and Stats always take
+// a reader thread, however idle the writer is.
+TEST_F(ServiceBasicTest, OtherReadsNeverRunInline) {
+  ASSERT_TRUE(fs_.Mkdir("/docs").ok());
+  ASSERT_TRUE(fs_.WriteFile("/docs/a.txt", "fingerprint").ok());
+  ASSERT_TRUE(fs_.Reindex().ok());
+  HacService service(fs_);
+  Session* s = service.OpenSession();
+
+  ServerRequest open = MakeReq(ServerOp::kOpen, "/docs/a.txt");
+  open.flags = kOpenRead;
+  ServerResponse opened = service.Call(s, open);
+  ASSERT_TRUE(opened.ok());
+  ServerRequest read_fd = MakeReq(ServerOp::kReadFd);
+  read_fd.fd = opened.fd;
+  read_fd.size = 4;
+  Completed cursor = SubmitAndWait(service, s, MakeReq(ServerOp::kOpenCursor, "/docs"));
+  EXPECT_NE(cursor.thread, std::this_thread::get_id());
+  ASSERT_TRUE(cursor.resp.ok());
+  ServerRequest fetch = MakeReq(ServerOp::kFetchPage);
+  fetch.fd = cursor.resp.fd;
+  ServerRequest close_cursor = MakeReq(ServerOp::kCloseCursor);
+  close_cursor.fd = cursor.resp.fd;
+
+  const uint64_t inline0 = service.Stats().inline_reads;
+  const std::vector<ServerRequest> queued = {
+      MakeReq(ServerOp::kReadDir, "/docs"),
+      MakeReq(ServerOp::kSearch, "/", "fingerprint"),
+      MakeReq(ServerOp::kGetLinkClasses, "/docs"),
+      read_fd,
+      fetch,
+      close_cursor,
+      MakeReq(ServerOp::kPing),
+      MakeReq(ServerOp::kChdir, "/docs"),
+      MakeReq(ServerOp::kStats)};
+  for (const ServerRequest& req : queued) {
+    Completed c = SubmitAndWait(service, s, req);
+    EXPECT_NE(c.thread, std::this_thread::get_id()) << ServerOpName(req.op);
+    EXPECT_TRUE(c.resp.ok()) << ServerOpName(req.op) << ": " << c.resp.error.ToString();
+  }
+  EXPECT_EQ(service.Stats().inline_reads, inline0);
+  ASSERT_TRUE(service.CloseSession(s).ok());
+}
+
+// A pending writer sends a bounded read to the queue. The parked reader holds the
+// shared lock, so try_lock_shared() alone would still succeed there: only the
+// writer-pending flag keeps the Stat from running ahead of the Mkdir it follows.
+TEST_F(ServiceBasicTest, PendingWriterKeepsBoundedReadsQueued) {
+  ReadGate gate;
+  ServiceOptions opts;
+  opts.read_workers = 1;
+  opts.read_hook = gate.Hook();
+  HacService service(fs_, opts);
+  Session* s = service.OpenSession();
+
+  auto parked = service.Submit(s, MakeReq(ServerOp::kPing));
+  gate.AwaitEntered(1);
+  auto mkdir = service.Submit(s, MakeReq(ServerOp::kMkdir, "/x"));
+  // Probe Stats run inline (their futures are ready at once) until the writer has
+  // dequeued the Mkdir and raised the flag; the first one that queues proves it is
+  // up, and it stays up until the parked read lets the writer in.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::future<ServerResponse> probe;
+  bool pending = false;
+  while (!pending && std::chrono::steady_clock::now() < deadline) {
+    probe = service.Submit(s, MakeReq(ServerOp::kStat, "/"));
+    pending = probe.wait_for(milliseconds(0)) != std::future_status::ready;
+    if (!pending) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+  }
+  if (!pending) {
+    gate.Release();
+    FAIL() << "no Stat queued behind the writer";
+  }
+  const uint64_t inline0 = service.Stats().inline_reads;
+  auto stat = service.Submit(s, MakeReq(ServerOp::kStat, "/x"));
+  EXPECT_NE(stat.wait_for(milliseconds(0)), std::future_status::ready);
+  EXPECT_EQ(service.Stats().inline_reads, inline0);
+
+  gate.Release();
+  EXPECT_TRUE(parked.get().ok());
+  EXPECT_TRUE(mkdir.get().ok());
+  EXPECT_TRUE(probe.get().ok());
+  ServerResponse after = stat.get();
+  EXPECT_TRUE(after.ok()) << after.error.ToString();  // inline, it would be kNotFound
+  EXPECT_EQ(after.st.type, NodeType::kDirectory);
+  ASSERT_TRUE(service.CloseSession(s).ok());
+}
 
 // With no durable store nothing drains the journal, so the writer discards it after
 // every batch (file writes journal their full bytes).
@@ -228,7 +386,7 @@ TEST_F(ServiceBasicTest, StopRunsAdmittedReadsThenRejects) {
   auto r1 = service.Submit(s, MakeReq(ServerOp::kPing));
   gate.AwaitEntered(1);
   auto r2 = service.Submit(s, MakeReq(ServerOp::kPing));
-  auto r3 = service.Submit(s, MakeReq(ServerOp::kStat, "/"));
+  auto r3 = service.Submit(s, MakeReq(ServerOp::kReadDir, "/"));
 
   std::atomic<bool> stopped = false;
   std::thread stopper([&] {

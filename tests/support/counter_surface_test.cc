@@ -63,6 +63,7 @@ const Fields<ServiceStats> kServiceFields = {
     {mn::kServiceAdmittedWrites, VIEW(admitted_writes)},
     {mn::kServiceRejectedQueueFull, VIEW(rejected_queue_full)},
     {mn::kServiceShedDeadline, VIEW(shed_deadline)},
+    {mn::kServiceInlineReads, VIEW(inline_reads)},
     {mn::kServiceExecutedReads, VIEW(executed_reads)},
     {mn::kServiceExecutedWrites, VIEW(executed_writes)},
     {mn::kServiceWriteBatches, VIEW(write_batches)},
