@@ -239,8 +239,10 @@ BENCHMARK(BM_Checkpoint)->Arg(4)->Arg(16);
 // Recovery at the checkpoint policy's longest tail, under the default
 // DurabilityOptions: `files` files loaded and checkpointed, then batches committed
 // until one more would make ShouldCheckpoint() true. The batch that does is cut
-// off its segment again, so the directory holds the longest tail the policy
-// leaves un-checkpointed. The timed region is Open plus Recover.
+// off its segment again at the end of the frames before it (the segment's size
+// says nothing: it is zero-filled ahead of its frames), so the directory holds the
+// longest tail the policy leaves un-checkpointed. The timed region is Open plus
+// Recover.
 void BM_RecoveryAtPolicyTail(benchmark::State& state) {
   constexpr size_t kFilesPerBatch = 64;
   const size_t files = static_cast<size_t>(state.range(0));
@@ -274,14 +276,14 @@ void BM_RecoveryAtPolicyTail(benchmark::State& state) {
     image_bytes =
         fs_std::file_size(fs_std::path(dir) / ("checkpoint-" + std::string(name) + ".hacs"));
     const fs_std::path segment = fs_std::path(dir) / ("wal-" + std::string(name) + ".log");
+    // The segment starts at the image: its frames are the bytes since it.
     for (;; ++batch) {
-      const uintmax_t before = fs_std::file_size(segment);
       ApplyBatch(*fs.value(), batch, kFilesPerBatch);
       if (!store.value()->CommitFrom(*fs.value()).ok()) {
         std::abort();
       }
       if (store.value()->ShouldCheckpoint()) {
-        fs_std::resize_file(segment, before);
+        fs_std::resize_file(segment, tail_bytes);
         break;
       }
       tail_bytes = store.value()->bytes_since_checkpoint();

@@ -42,6 +42,11 @@ Counter& WalBytesCounter() {
       MetricsRegistry::Global().GetCounter(metric_names::kDurabilityWalBytes);
   return c;
 }
+Counter& WalZeroFillBytesCounter() {
+  static Counter& c =
+      MetricsRegistry::Global().GetCounter(metric_names::kDurabilityWalZeroFillBytes);
+  return c;
+}
 Counter& CheckpointsCounter() {
   static Counter& c =
       MetricsRegistry::Global().GetCounter(metric_names::kDurabilityCheckpoints);
@@ -111,6 +116,32 @@ Result<void> SyncDirectory(const std::string& dir) {
     return Error(ErrorCode::kBusy, "fsync " + dir + ": " + std::strerror(errno));
   }
   return OkResult();
+}
+
+// Writes all `n` bytes at `offset`, retrying short writes.
+Result<void> WriteAt(int fd, const uint8_t* data, size_t n, uint64_t offset) {
+  while (n > 0) {
+    ssize_t put = ::pwrite(fd, data, n, static_cast<off_t>(offset));
+    if (put < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return Error(ErrorCode::kBusy, std::string("pwrite: ") + std::strerror(errno));
+    }
+    data += put;
+    n -= static_cast<size_t>(put);
+    offset += static_cast<uint64_t>(put);
+  }
+  return OkResult();
+}
+
+// The encoded size of the frame at the front of `data`: its 8-byte header plus the
+// payload length the header declares (or all of `n`, for a header cut short).
+size_t FrameSize(const uint8_t* data, size_t n) {
+  if (n < 8) {
+    return n;
+  }
+  return 8 + size_t{ByteReader(data, 4).GetU32().value()};
 }
 
 // One fstat and, normally, one read: recovery reads whole images and segments.
@@ -256,27 +287,88 @@ Result<void> RealFile::Sync() {
 }
 
 // ---------------------------------------------------------------------------
+// WalSegmentFile
+// ---------------------------------------------------------------------------
+
+Result<std::unique_ptr<WalSegmentFile>> WalSegmentFile::Open(const std::string& path,
+                                                             uint64_t offset) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
+  if (fd < 0) {
+    return Error(ErrorCode::kNotFound, path + ": " + std::strerror(errno));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Error(ErrorCode::kNotFound, path + ": " + std::strerror(err));
+  }
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  return std::unique_ptr<WalSegmentFile>(
+      new WalSegmentFile(fd, offset, std::max(size, offset)));
+}
+
+WalSegmentFile::~WalSegmentFile() { ::close(fd_); }
+
+Result<void> WalSegmentFile::Append(const void* data, size_t n) {
+  const uint64_t end = offset_ + n;
+  if (end > zeroed_end_) {
+    // Zeros to the next whole chunk past `end`, written rather than allocated: an
+    // unwritten extent would need a journal commit again when the frames land.
+    static const std::array<uint8_t, 64 << 10> kZeros{};
+    const uint64_t fill_to = (end + kFillChunk - 1) / kFillChunk * kFillChunk;
+    for (uint64_t at = zeroed_end_; at < fill_to;) {
+      const size_t part = static_cast<size_t>(std::min<uint64_t>(kZeros.size(), fill_to - at));
+      HAC_RETURN_IF_ERROR(WriteAt(fd_, kZeros.data(), part, at));
+      at += part;
+    }
+    WalZeroFillBytesCounter().Inc(fill_to - zeroed_end_);
+    zeroed_end_ = fill_to;
+  }
+  HAC_RETURN_IF_ERROR(WriteAt(fd_, static_cast<const uint8_t*>(data), n, offset_));
+  offset_ = end;
+  return OkResult();
+}
+
+Result<void> WalSegmentFile::Sync() {
+  if (::fdatasync(fd_) != 0) {
+    return Error(ErrorCode::kBusy, std::string("fdatasync: ") + std::strerror(errno));
+  }
+  return OkResult();
+}
+
+// ---------------------------------------------------------------------------
 // FaultyFile
 // ---------------------------------------------------------------------------
 
-FaultyFile::FaultyFile(const std::string& path, FaultSpec fault)
-    : path_(path), fault_(fault) {}
+FaultyFile::FaultyFile(std::unique_ptr<DurableFile> disk, std::string path,
+                       FaultSpec fault)
+    : disk_(std::move(disk)), path_(std::move(path)), fault_(fault) {}
 
 Result<void> FaultyFile::FlushToDisk(const uint8_t* data, size_t n) {
-  HAC_ASSIGN_OR_RETURN(std::unique_ptr<RealFile> f, RealFile::Open(path_));
   if (n > 0) {
-    HAC_RETURN_IF_ERROR(f->Append(data, n));
+    HAC_RETURN_IF_ERROR(disk_->Append(data, n));
   }
-  return f->Sync();
+  return disk_->Sync();
 }
 
 Result<void> FaultyFile::Append(const void* data, size_t n) {
+  // A commit appends all its frames at once; a fault's N counts frames.
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  while (n > 0) {
+    const size_t frame = std::min(n, FrameSize(bytes, n));
+    HAC_RETURN_IF_ERROR(AppendFrame(bytes, frame));
+    bytes += frame;
+    n -= frame;
+  }
+  return OkResult();
+}
+
+Result<void> FaultyFile::AppendFrame(const uint8_t* bytes, size_t n) {
   if (dead_) {
     return OkResult();  // the modelled process is gone; nothing observes this write
   }
-  ++writes_;
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  if (fault_.kind == FaultSpec::Kind::kTorn && writes_ == fault_.at_write) {
+  ++frames_;
+  if (fault_.kind == FaultSpec::Kind::kTorn && frames_ == fault_.at_write) {
     // The kernel flushed everything buffered plus half of this frame, then the
     // machine died: the log ends in a torn frame.
     std::vector<uint8_t> torn(unsynced_);
@@ -287,13 +379,13 @@ Result<void> FaultyFile::Append(const void* data, size_t n) {
     return OkResult();
   }
   unsynced_.insert(unsynced_.end(), bytes, bytes + n);
-  if (fault_.kind == FaultSpec::Kind::kBitFlip && writes_ == fault_.at_write &&
+  if (fault_.kind == FaultSpec::Kind::kBitFlip && frames_ == fault_.at_write &&
       !unsynced_.empty()) {
     // Silent media corruption: one bit of the just-buffered frame flips and the
     // write path never notices — only the CRC check at recovery does.
     unsynced_[unsynced_.size() - 1 - n / 2] ^= 0x10;
   }
-  if (fault_.kind == FaultSpec::Kind::kCrashAfter && writes_ >= fault_.at_write) {
+  if (fault_.kind == FaultSpec::Kind::kCrashAfter && frames_ >= fault_.at_write) {
     // Crash before the fsync: the buffered ("page cache") suffix is lost.
     unsynced_.clear();
     dead_ = true;
@@ -346,6 +438,11 @@ std::vector<DurableStore::DecodedFrame> DurableStore::DecodeFrames(
   const uint8_t* p = bytes.data();
   size_t left = bytes.size();
   while (left > 0) {
+    // The zeros a segment is filled with ahead of its frames: a clean end. A frame's
+    // length is never 0, so at a frame this check ends within its first four bytes.
+    if (std::all_of(p, p + left, [](uint8_t b) { return b == 0; })) {
+      break;
+    }
     if (left < 8) {
       stop("torn frame header (" + std::to_string(left) + " trailing bytes)");
       break;
@@ -480,17 +577,18 @@ std::vector<std::pair<uint64_t, std::string>> DurableStore::ListGeneration(
   return out;
 }
 
-Result<void> DurableStore::OpenWalSegment(uint64_t start_lsn) {
+Result<void> DurableStore::OpenWalSegment(uint64_t start_lsn, uint64_t offset) {
   wal_start_lsn_ = start_lsn;
   wal_path_ = (fs_std::path(options_.data_dir) /
                GenerationFileName(kWalPrefix, start_lsn, kWalSuffix))
                   .string();
+  HAC_ASSIGN_OR_RETURN(std::unique_ptr<WalSegmentFile> f,
+                       WalSegmentFile::Open(wal_path_, offset));
   if (options_.wal_fault.active()) {
-    wal_ = std::make_unique<FaultyFile>(wal_path_, options_.wal_fault);
-    return OkResult();
+    wal_ = std::make_unique<FaultyFile>(std::move(f), wal_path_, options_.wal_fault);
+  } else {
+    wal_ = std::move(f);
   }
-  HAC_ASSIGN_OR_RETURN(std::unique_ptr<RealFile> f, RealFile::Open(wal_path_));
-  wal_ = std::move(f);
   return OkResult();
 }
 
@@ -550,6 +648,10 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
   uint64_t max_lsn = recovery_.checkpoint_lsn;
   uint64_t tail_bytes = 0;
   bool stopped = false;
+  // Writing resumes in the newest segment read, right after its last valid frame,
+  // or in a fresh segment named after the image when none is newer.
+  uint64_t resume_lsn = recovery_.checkpoint_lsn;
+  uint64_t resume_offset = 0;
   for (size_t i = 0; i < segments.size(); ++i) {
     const auto& [seg_lsn, seg_path] = segments[i];
     if (stopped) {
@@ -568,12 +670,14 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
     }
     auto bytes = ReadWholeFile(seg_path);
     if (!bytes.ok()) {
-      continue;
+      return bytes.error();  // neither replay nor the next append can skip it
     }
     bool truncated = false;
     std::string detail;
     std::vector<DecodedFrame> frames = DecodeFrames(bytes.value(), &truncated, &detail);
+    uint64_t frames_end = 0;
     for (const DecodedFrame& frame : frames) {
+      frames_end += frame.bytes;
       max_lsn = std::max(max_lsn, frame.lsn);
       if (frame.lsn <= recovery_.checkpoint_lsn) {
         continue;
@@ -585,6 +689,10 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
       } else {
         ++recovery_.replay_errors;
       }
+    }
+    if (seg_lsn >= resume_lsn) {
+      resume_lsn = seg_lsn;
+      resume_offset = frames_end;
     }
     if (truncated) {
       stopped = true;
@@ -618,13 +726,7 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
   // The replayed tail still counts against the policy: the next image retires it.
   bytes_since_checkpoint_ = tail_bytes;
   last_image_bytes_ = image_bytes;
-  // Continue in the newest surviving segment (or start the genesis one).
-  uint64_t segment = recovery_.checkpoint_lsn;
-  for (const auto& [seg_lsn, seg_path] : ListGeneration(kWalPrefix, kWalSuffix)) {
-    segment = std::max(segment, seg_lsn);
-    break;  // newest-first listing
-  }
-  HAC_RETURN_IF_ERROR(OpenWalSegment(segment));
+  HAC_RETURN_IF_ERROR(OpenWalSegment(resume_lsn, resume_offset));
 
   RecoveriesCounter().Inc();
   ReplayedCounter().Inc(recovery_.replayed_records);
@@ -634,28 +736,27 @@ Result<std::unique_ptr<HacFileSystem>> DurableStore::Recover(HacOptions fs_optio
 
 Result<void> DurableStore::CommitFrom(HacFileSystem& fs) {
   if (wal_ == nullptr) {
-    HAC_RETURN_IF_ERROR(OpenWalSegment(last_checkpoint_lsn_));
+    HAC_RETURN_IF_ERROR(OpenWalSegment(last_checkpoint_lsn_, 0));
   }
   TraceSpan span(metric_names::kSpanDurabilityWalCommit);
   std::vector<JournalRecord> records = fs.DrainJournal();
   uint64_t appended = 0;
-  uint64_t bytes = 0;
+  std::vector<uint8_t> frames;
   for (const JournalRecord& rec : records) {
     if (!IsReplayableOp(rec.op)) {
       continue;
     }
-    std::vector<uint8_t> frame;
-    EncodeFrame(++last_lsn_, rec, frame);
-    HAC_RETURN_IF_ERROR(wal_->Append(frame.data(), frame.size()));
+    EncodeFrame(++last_lsn_, rec, frames);
     ++appended;
-    bytes += frame.size();
   }
+  const uint64_t bytes = frames.size();
   span.Arg("records", appended);
   span.Arg("bytes", bytes);
   span.Arg("lsn", last_lsn_);
   if (appended == 0) {
     return OkResult();  // read-only batch: no fsync needed
   }
+  HAC_RETURN_IF_ERROR(wal_->Append(frames.data(), frames.size()));
   const auto fsync_started = std::chrono::steady_clock::now();
   HAC_RETURN_IF_ERROR(wal_->Sync());
   FsyncHistogram().Record(ElapsedUs(fsync_started));
@@ -693,7 +794,7 @@ Result<void> DurableStore::BeginCheckpoint(const HacFileSystem& fs) {
   // Rotate the log: frames after this image land in a fresh segment. The old
   // segments stay until the image is published (Publish prunes), so a crash before
   // the rename recovers from the previous image plus every segment since.
-  HAC_RETURN_IF_ERROR(OpenWalSegment(lsn));
+  HAC_RETURN_IF_ERROR(OpenWalSegment(lsn, 0));
   last_checkpoint_lsn_ = lsn;
   records_since_checkpoint_ = 0;
   bytes_since_checkpoint_ = 0;

@@ -6,9 +6,10 @@
 //
 //   * WAL — every replayable JournalRecord (see IsReplayableOp) is drained from the
 //     facade's journal at each group commit and appended to the current WAL segment
-//     as a length-prefixed, CRC32-framed record tagged with a monotone LSN. The
-//     segment is fsynced once per commit; CommitFrom() returns only after the frames
-//     are durable, so the service layer can acknowledge the batch.
+//     as a length-prefixed, CRC32-framed record tagged with a monotone LSN. A commit
+//     writes all its frames with one positioned write over blocks zero-filled ahead
+//     of it and syncs them with one fdatasync; CommitFrom() returns only after the
+//     frames are durable, so the service layer can acknowledge the batch.
 //   * Checkpoint — two halves. BeginCheckpoint() builds: it serializes the facade's
 //     full SaveState() image (VFS + registry + per-directory state + index snapshot),
 //     records the image's LSN and rotates the WAL to a fresh segment named after it.
@@ -24,12 +25,13 @@
 //     segments the checkpoint covers unread, skipping records at or below the
 //     checkpoint LSN and stopping cleanly at the first torn, truncated, or
 //     CRC-corrupt frame (ErrorCode::kCorrupt semantics: the damaged suffix is
-//     discarded, everything before it is served). A final Reindex() restores data
-//     consistency.
+//     discarded, everything before it is served). An all-zero remainder is the
+//     segment's unwritten end, not damage. A final Reindex() restores data
+//     consistency, and writing resumes right after the newest segment's last frame.
 //
-// Fault injection: DurableFile is the seam. FaultyFile buffers writes until Sync()
-// (modelling the volatile page cache) and can crash after N writes, tear the final
-// frame in half, or flip a bit, as DurabilityOptions::wal_fault says (FaultSpec::Parse
+// Fault injection: DurableFile is the seam. FaultyFile buffers frames until Sync()
+// (modelling the volatile page cache) and can crash after N frames, tear frame N in
+// half, or flip a bit in it, as DurabilityOptions::wal_fault says (FaultSpec::Parse
 // reads "crash_after:N" | "torn:N" | "bitflip:N"). The recovery test matrix in
 // tests/core/durability_test.cc is built on it.
 #ifndef HAC_CORE_DURABILITY_H_
@@ -54,12 +56,13 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 // Fault injection
 // ---------------------------------------------------------------------------
 
+// N counts WAL frames, however many of them one append carries.
 struct FaultSpec {
   enum class Kind : uint8_t {
     kNone = 0,
-    kCrashAfter,  // after N writes, drop unsynced data and go dead (crash pre-fsync)
-    kTorn,        // on write N, persist only the first half of it, then go dead
-    kBitFlip,     // on write N, flip one bit in the persisted bytes, then continue
+    kCrashAfter,  // at frame N, drop unsynced data and go dead (crash pre-fsync)
+    kTorn,        // at frame N, persist only the first half of it, then go dead
+    kBitFlip,     // at frame N, flip one bit in the persisted bytes, then continue
   };
   Kind kind = Kind::kNone;
   uint64_t at_write = 0;
@@ -74,13 +77,13 @@ struct FaultSpec {
 class DurableFile {
  public:
   virtual ~DurableFile() = default;
-  // Buffers or writes `n` bytes at the end of the file.
+  // Buffers or writes `n` bytes after the last bytes appended.
   virtual Result<void> Append(const void* data, size_t n) = 0;
   // Makes every appended byte durable. CommitFrom() acknowledges only after this.
   virtual Result<void> Sync() = 0;
 };
 
-// Production file: POSIX append + fsync.
+// Checkpoint images and repaired segments: POSIX append + fsync.
 class RealFile : public DurableFile {
  public:
   static Result<std::unique_ptr<RealFile>> Open(const std::string& path);
@@ -93,26 +96,58 @@ class RealFile : public DurableFile {
   int fd_;
 };
 
-// Fault-injecting file. Writes accumulate in a volatile buffer ("page cache") and
-// reach the backing file only at Sync() — so a crash before fsync deterministically
-// loses exactly the unsynced suffix, which a real kernel page cache would hide from
-// a same-machine test. When the configured fault fires the file goes dead: the
-// on-disk state is frozen in its crash shape and later appends/syncs are swallowed
-// (the "process" has crashed; the service notices via the next commit's error).
+// A WAL segment, kept zero-filled ahead of its write offset. An append that would
+// pass the zeroed end first extends the file with zeros to the next whole
+// kFillChunk, then lands with one positioned write; Sync() is an fdatasync. Between
+// fills an append changes neither the file's size nor its block map, so the sync
+// commits data only, not the file system's journal.
+class WalSegmentFile : public DurableFile {
+ public:
+  static constexpr uint64_t kFillChunk = uint64_t{1} << 20;
+
+  // Opens (creating if needed) `path` to write at byte `offset`. Every byte from
+  // `offset` to the end of the file must be zero.
+  static Result<std::unique_ptr<WalSegmentFile>> Open(const std::string& path,
+                                                      uint64_t offset);
+  // Closes the descriptor it owns.
+  ~WalSegmentFile() override;
+  WalSegmentFile(const WalSegmentFile&) = delete;
+  WalSegmentFile& operator=(const WalSegmentFile&) = delete;
+  Result<void> Append(const void* data, size_t n) override;
+  Result<void> Sync() override;
+
+ private:
+  WalSegmentFile(int fd, uint64_t offset, uint64_t zeroed_end)
+      : fd_(fd), offset_(offset), zeroed_end_(zeroed_end) {}
+  int fd_;
+  uint64_t offset_;      // where the next append lands
+  uint64_t zeroed_end_;  // the file's size; [offset_, zeroed_end_) is zero
+};
+
+// Fault-injecting file. Frames accumulate in a volatile buffer ("page cache") and
+// reach `disk` only at Sync() — so a crash before fsync deterministically loses
+// exactly the unsynced suffix, which a real kernel page cache would hide from a
+// same-machine test. Faults count frames (an append may carry several). When the
+// configured fault fires the file goes dead: the on-disk state is frozen in its
+// crash shape and later appends/syncs are swallowed (the "process" has crashed;
+// the service notices via the next commit's error).
 class FaultyFile : public DurableFile {
  public:
-  FaultyFile(const std::string& path, FaultSpec fault);
+  // `path` names `disk` in the injected-crash error.
+  FaultyFile(std::unique_ptr<DurableFile> disk, std::string path, FaultSpec fault);
   Result<void> Append(const void* data, size_t n) override;
   Result<void> Sync() override;
   bool dead() const { return dead_; }
 
  private:
+  Result<void> AppendFrame(const uint8_t* frame, size_t n);
   Result<void> FlushToDisk(const uint8_t* data, size_t n);
 
+  std::unique_ptr<DurableFile> disk_;
   std::string path_;
   FaultSpec fault_;
   std::vector<uint8_t> unsynced_;
-  uint64_t writes_ = 0;
+  uint64_t frames_ = 0;
   bool dead_ = false;
 };
 
@@ -177,9 +212,10 @@ class DurableStore {
   Result<std::unique_ptr<HacFileSystem>> Recover(HacOptions fs_options = {});
   const RecoveryInfo& recovery_info() const { return recovery_; }
 
-  // Group commit: drains every journal record `fs` accumulated, appends the
-  // replayable ones as WAL frames, and fsyncs once. The caller must not release
-  // acknowledgements for the drained mutations before this returns OK.
+  // Group commit: drains every journal record `fs` accumulated, encodes the
+  // replayable ones as WAL frames into one buffer, appends it, and syncs once. The
+  // caller must not release acknowledgements for the drained mutations before this
+  // returns OK.
   Result<void> CommitFrom(HacFileSystem& fs);
 
   // The build half of a checkpoint. Joins any publication still in flight, then
@@ -223,8 +259,9 @@ class DurableStore {
     uint64_t bytes = 0;  // encoded size: the 8-byte header plus the payload
   };
   // Decodes every valid frame from the front of `bytes`; stops at the first torn,
-  // truncated or corrupt frame. `truncated`/`detail` report whether and why the
-  // scan stopped early.
+  // truncated or corrupt frame. An all-zero remainder (a segment's zero-filled,
+  // unwritten end) ends the scan cleanly. `truncated`/`detail` report whether and
+  // why the scan stopped early.
   static std::vector<DecodedFrame> DecodeFrames(const std::vector<uint8_t>& bytes,
                                                 bool* truncated, std::string* detail);
 
@@ -235,7 +272,8 @@ class DurableStore {
  private:
   explicit DurableStore(DurabilityOptions options);
 
-  Result<void> OpenWalSegment(uint64_t start_lsn);
+  // Opens wal-<start_lsn> to write at byte `offset`, past its frames.
+  Result<void> OpenWalSegment(uint64_t start_lsn, uint64_t offset);
   // The publisher's half: seal, write, fsync, rename, fsync the directory, prune.
   Result<void> Publish(std::vector<uint8_t> image, uint64_t lsn);
   Result<void> PruneGenerations();

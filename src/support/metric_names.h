@@ -89,6 +89,9 @@ inline constexpr const char* kServerCursorHarvested = "hac.server.cursor_harvest
 // --- durability: WAL + checkpoints + recovery (src/core/durability.cc) ---
 inline constexpr const char* kDurabilityWalAppends = "hac.durability.wal_appends";
 inline constexpr const char* kDurabilityWalBytes = "hac.durability.wal_bytes";
+// Zeros written ahead of the log's end, so that group commits sync data only.
+inline constexpr const char* kDurabilityWalZeroFillBytes =
+    "hac.durability.wal_zero_fill_bytes";
 inline constexpr const char* kDurabilityCheckpoints = "hac.durability.checkpoints";
 // Image bytes published, header included; ÷ wal_bytes = image bytes per WAL byte.
 inline constexpr const char* kDurabilityCheckpointBytes =
@@ -136,7 +139,7 @@ inline constexpr const char* kServerWritevFrames = "hac.server.writev_frames";
 inline constexpr const char* kServerCursorPageEntries =
     "hac.server.cursor_page_entries";
 inline constexpr const char* kServerCursorPageBytes = "hac.server.cursor_page_bytes";
-// Durability: one fsync per group commit; checkpoint/recovery are whole-operation
+// Durability: one fdatasync per group commit; checkpoint/recovery are whole-operation
 // durations (a checkpoint from its build to its publication; recovery includes
 // checkpoint load, WAL replay, and the reindex). checkpoint_build_us is the writer's
 // share of one checkpoint: SaveState plus the WAL rotation.
@@ -173,9 +176,9 @@ inline constexpr const char* kAllCounters[] = {
     kServerBufferPoolHits, kServerBufferPoolMisses,
     kServerCursorOpened, kServerCursorClosed, kServerCursorStale,
     kServerCursorHarvested,
-    kDurabilityWalAppends, kDurabilityWalBytes, kDurabilityCheckpoints,
-    kDurabilityCheckpointBytes, kDurabilityRecoveries, kDurabilityReplayedRecords,
-    kDurabilityCorruptFrames,
+    kDurabilityWalAppends, kDurabilityWalBytes, kDurabilityWalZeroFillBytes,
+    kDurabilityCheckpoints, kDurabilityCheckpointBytes, kDurabilityRecoveries,
+    kDurabilityReplayedRecords, kDurabilityCorruptFrames,
     kIndexQueries, kIndexDocsIndexed, kIndexDocsRemoved, kTraceDropped,
 };
 inline constexpr const char* kAllGauges[] = {

@@ -123,6 +123,20 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
             static_cast<std::streamsize>(bytes.size()));
 }
 
+// The bytes of the valid frames at the front of a segment, its zero tail excluded.
+uint64_t FrameBytes(const std::vector<uint8_t>& bytes) {
+  uint64_t n = 0;
+  for (const auto& frame : DurableStore::DecodeFrames(bytes, nullptr, nullptr)) {
+    n += frame.bytes;
+  }
+  return n;
+}
+
+bool AllZero(std::vector<uint8_t>::const_iterator begin,
+             std::vector<uint8_t>::const_iterator end) {
+  return std::all_of(begin, end, [](uint8_t b) { return b == 0; });
+}
+
 std::vector<std::string> ListFiles(const std::string& dir, const std::string& prefix) {
   std::vector<std::string> out;
   for (const auto& entry : fs_std::directory_iterator(dir)) {
@@ -294,18 +308,25 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
     WriteFileBytes(checkpoints.back() + ".tmp", bytes);
     fs_std::remove(checkpoints.back());
   }
+  // The media-corruption rows flip one bit halfway through a segment's frames (not
+  // halfway through the file, which would land in its zero tail).
   std::vector<DurableStore::DecodedFrame> surviving;
+  std::string damaged_segment;
+  uint64_t frame_bytes = 0;
   if (row == Row::kCorruptCrcMidLog) {
     auto wals = ListFiles(dir, "wal-");
     ASSERT_EQ(wals.size(), 1u);
+    damaged_segment = wals[0];
     std::vector<uint8_t> bytes = ReadFileBytes(wals[0]);
-    ASSERT_GT(bytes.size(), 16u);
-    bytes[bytes.size() / 2] ^= 0x01;  // silent media corruption mid-log
+    frame_bytes = FrameBytes(bytes);
+    ASSERT_GT(frame_bytes, 16u);
+    bytes[frame_bytes / 2] ^= 0x01;  // silent media corruption mid-log
     WriteFileBytes(wals[0], bytes);
     bool truncated = false;
     std::string detail;
     surviving = DurableStore::DecodeFrames(bytes, &truncated, &detail);
     ASSERT_TRUE(truncated) << "the flipped bit must invalidate a frame";
+    ASSERT_LE(FrameBytes(bytes), frame_bytes / 2) << "the scan must stop at the flip";
   }
   std::string newer_checkpoint;
   if (row == Row::kCorruptCoveredSegment) {
@@ -318,13 +339,15 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
     auto wals = ListFiles(dir, "wal-");
     ASSERT_EQ(wals.size(), 2u);
     std::vector<uint8_t> bytes = ReadFileBytes(wals.front());
-    ASSERT_GT(bytes.size(), 16u);
-    bytes[bytes.size() / 2] ^= 0x01;
+    frame_bytes = FrameBytes(bytes);
+    ASSERT_GT(frame_bytes, 16u);
+    bytes[frame_bytes / 2] ^= 0x01;
     WriteFileBytes(wals.front(), bytes);
     bool truncated = false;
     std::string detail;
     (void)DurableStore::DecodeFrames(bytes, &truncated, &detail);
     ASSERT_TRUE(truncated) << "the flipped bit must invalidate a frame";
+    ASSERT_LE(FrameBytes(bytes), frame_bytes / 2) << "the scan must stop at the flip";
   }
   if (row == Row::kTornLastFrame) {
     // The torn tail is literally on disk: decoding must stop early.
@@ -386,10 +409,18 @@ TEST_P(CrashMatrixTest, RecoversToCleanReplayReference) {
       // The genesis segment predates the checkpoint, which covers it: left unread.
       EXPECT_EQ(info.skipped_segments, 1u);
       break;
-    case Row::kCorruptCrcMidLog:
+    case Row::kCorruptCrcMidLog: {
       EXPECT_EQ(got, FrameReplayDigest(surviving));
       EXPECT_TRUE(info.tail_truncated);
+      // The repair keeps the frames before the damaged one and nothing after.
+      uint64_t kept = 0;
+      for (const auto& frame : surviving) {
+        kept += frame.bytes;
+      }
+      EXPECT_EQ(fs_std::file_size(damaged_segment), kept);
+      EXPECT_LE(kept, frame_bytes / 2);
       break;
+    }
     case Row::kCorruptCoveredSegment:
       EXPECT_EQ(got, CleanReplayDigest(Workload().size()));
       EXPECT_EQ(info.checkpoint_file, newer_checkpoint);
@@ -555,8 +586,9 @@ TEST(DurabilityTest, CommitFromWritesOnlyReplayableFrames) {
 
 // The WAL bytes CommitFrom writes for a fixed op sequence, pinned: file writes, a
 // rename, an unlink, a query set and a link promotion over two group commits. The
-// expected size and FNV-1a hash were computed by the implementation that encoded
-// journal records and WAL frames in two separate places.
+// expected frame bytes and their FNV-1a hash were computed by the implementation
+// that encoded journal records and WAL frames in two separate places. The segment's
+// zero fill follows them, to a whole chunk.
 TEST(DurabilityTest, WalSegmentBytesArePinned) {
   const std::string dir = TestDir("WalGolden");
   DurabilityOptions opts;
@@ -582,13 +614,301 @@ TEST(DurabilityTest, WalSegmentBytesArePinned) {
   auto wals = ListFiles(dir, "wal-");
   ASSERT_EQ(wals.size(), 1u);
   const std::vector<uint8_t> bytes = ReadFileBytes(wals[0]);
+  const uint64_t frames = FrameBytes(bytes);
+  ASSERT_LE(frames, bytes.size());
   uint64_t fnv = 0xcbf29ce484222325ull;
-  for (uint8_t b : bytes) {
-    fnv = (fnv ^ b) * 0x100000001b3ull;
+  for (size_t i = 0; i < frames; ++i) {
+    fnv = (fnv ^ bytes[i]) * 0x100000001b3ull;
   }
-  EXPECT_EQ(bytes.size(), 383u);
+  EXPECT_EQ(frames, 383u);
   EXPECT_EQ(fnv, 0xf2edfb5bbbc2b25dull)
-      << "{" << bytes.size() << ", 0x" << std::hex << fnv << "ull}";
+      << "{" << frames << ", 0x" << std::hex << fnv << "ull}";
+  EXPECT_TRUE(AllZero(bytes.begin() + static_cast<std::ptrdiff_t>(frames), bytes.end()));
+  EXPECT_EQ(bytes.size(), WalSegmentFile::kFillChunk);
+}
+
+// A segment's zero tail is a clean end, at any length: the scan reports no damage,
+// hac.durability.corrupt_frames does not move, and recovery cuts nothing.
+TEST(DurabilityTest, ZeroTailIsACleanEnd) {
+  const std::string dir = TestDir("ZeroTail");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  uint64_t lsn = 0;
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    ASSERT_EQ(RunBatches(*fs.value(), *store.value(), 0), Workload().size());
+    lsn = store.value()->last_lsn();
+  }
+  auto wals = ListFiles(dir, "wal-");
+  ASSERT_EQ(wals.size(), 1u);
+  const std::vector<uint8_t> bytes = ReadFileBytes(wals[0]);
+  const uint64_t frames = FrameBytes(bytes);
+  ASSERT_LT(frames, bytes.size());
+  Counter& corrupt =
+      MetricsRegistry::Global().GetCounter(metric_names::kDurabilityCorruptFrames);
+  const uint64_t corrupt_before = corrupt.Value();
+  for (const uint64_t tail : {uint64_t{0}, uint64_t{3}, uint64_t{8}, uint64_t{100},
+                              uint64_t{bytes.size() - frames}}) {
+    SCOPED_TRACE(tail);
+    std::vector<uint8_t> cut(bytes.begin(),
+                             bytes.begin() + static_cast<std::ptrdiff_t>(frames + tail));
+    bool truncated = true;
+    std::string detail;
+    EXPECT_EQ(DurableStore::DecodeFrames(cut, &truncated, &detail).size(), lsn);
+    EXPECT_FALSE(truncated) << detail;
+  }
+
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  EXPECT_FALSE(store.value()->recovery_info().tail_truncated)
+      << store.value()->recovery_info().detail;
+  EXPECT_EQ(store.value()->recovery_info().replayed_records, lsn);
+  EXPECT_EQ(corrupt.Value(), corrupt_before);
+  EXPECT_EQ(ReadFileBytes(wals[0]), bytes);
+  EXPECT_EQ(DigestOf(*fs.value()), CleanReplayDigest(Workload().size()));
+}
+
+// A zero frame header followed by anything but zeros is damage: the scan stops
+// there, and recovery keeps the frames before it and cuts the rest.
+TEST(DurabilityTest, ZeroHeaderFollowedByBytesIsDamage) {
+  const std::string dir = TestDir("ZeroHeader");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  uint64_t lsn = 0;
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    ASSERT_EQ(RunBatches(*fs.value(), *store.value(), 0), Workload().size());
+    lsn = store.value()->last_lsn();
+  }
+  auto wals = ListFiles(dir, "wal-");
+  ASSERT_EQ(wals.size(), 1u);
+  std::vector<uint8_t> bytes = ReadFileBytes(wals[0]);
+  const uint64_t frames = FrameBytes(bytes);
+  ASSERT_GT(bytes.size(), frames + 100);
+  bytes[frames + 100] = 0x5A;  // one stray byte inside the zero tail
+  WriteFileBytes(wals[0], bytes);
+  bool truncated = false;
+  std::string detail;
+  EXPECT_EQ(DurableStore::DecodeFrames(bytes, &truncated, &detail).size(), lsn);
+  EXPECT_TRUE(truncated);
+
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  EXPECT_TRUE(store.value()->recovery_info().tail_truncated);
+  EXPECT_EQ(store.value()->recovery_info().replayed_records, lsn);
+  EXPECT_EQ(fs_std::file_size(wals[0]), frames);  // the valid prefix, nothing after
+  EXPECT_EQ(DigestOf(*fs.value()), CleanReplayDigest(Workload().size()));
+}
+
+// A restarted store writes right after the last frame, over the zero tail, not
+// after it: the two runs' frames lie back to back in one chunk.
+TEST(DurabilityTest, RestartAppendsRightAfterTheLastFrame) {
+  const std::string dir = TestDir("RestartAppends");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  const std::vector<Batch> batches = Workload();
+  const size_t half = batches.size() / 2;
+  uint64_t digest = 0;
+  uint64_t lsn = 0;
+  for (size_t run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run);
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    EXPECT_FALSE(store.value()->recovery_info().tail_truncated);
+    EXPECT_EQ(store.value()->last_lsn(), lsn);
+    for (size_t i = run * half; i < (run + 1) * half; ++i) {
+      ASSERT_TRUE(batches[i](*fs.value()).ok());
+      ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+    }
+    lsn = store.value()->last_lsn();
+    digest = DigestOf(*fs.value());
+  }
+  EXPECT_EQ(digest, CleanReplayDigest(batches.size()));
+
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  EXPECT_FALSE(store.value()->recovery_info().tail_truncated);
+  EXPECT_EQ(store.value()->recovery_info().replayed_records, lsn);
+  EXPECT_EQ(DigestOf(*fs.value()), digest);
+  auto wals = ListFiles(dir, "wal-");
+  ASSERT_EQ(wals.size(), 1u);
+  const std::vector<uint8_t> bytes = ReadFileBytes(wals[0]);
+  bool truncated = true;
+  auto frames = DurableStore::DecodeFrames(bytes, &truncated, nullptr);
+  EXPECT_FALSE(truncated);
+  ASSERT_EQ(frames.size(), lsn);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].lsn, i + 1);
+  }
+  EXPECT_TRUE(AllZero(bytes.begin() + static_cast<std::ptrdiff_t>(FrameBytes(bytes)),
+                      bytes.end()));
+  EXPECT_EQ(bytes.size(), WalSegmentFile::kFillChunk);
+}
+
+// One batch whose frames cross a fill boundary: the commit fills the next chunk and
+// writes across the boundary, and recovery serves the whole batch.
+TEST(DurabilityTest, BatchAcrossAFillBoundaryRecoversWhole) {
+  const std::string dir = TestDir("AcrossFill");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  constexpr uint64_t kChunk = WalSegmentFile::kFillChunk;
+  Counter& filled =
+      MetricsRegistry::Global().GetCounter(metric_names::kDurabilityWalZeroFillBytes);
+  const uint64_t filled_before = filled.Value();
+  uint64_t digest = 0;
+  uint64_t lsn = 0;
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    ASSERT_TRUE(fs.value()->Mkdir("/x").ok());
+    ASSERT_TRUE(fs.value()->WriteFile("/x/big", std::string(kChunk - 600, 'b')).ok());
+    ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+    const uint64_t first = store.value()->bytes_since_checkpoint();
+    ASSERT_LT(first, kChunk);
+    ASSERT_GT(first, kChunk - 1000);
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(fs.value()
+                      ->WriteFile("/x/f" + std::to_string(i) + ".txt",
+                                  "crossing batch " + std::to_string(i))
+                      .ok());
+    }
+    ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+    ASSERT_GT(store.value()->bytes_since_checkpoint(), kChunk);
+    lsn = store.value()->last_lsn();
+    digest = DigestOf(*fs.value());
+  }
+  auto wals = ListFiles(dir, "wal-");
+  ASSERT_EQ(wals.size(), 1u);
+  EXPECT_EQ(fs_std::file_size(wals[0]), 2 * kChunk);
+  EXPECT_EQ(filled.Value() - filled_before, 2 * kChunk);
+
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  EXPECT_FALSE(store.value()->recovery_info().tail_truncated)
+      << store.value()->recovery_info().detail;
+  EXPECT_EQ(store.value()->recovery_info().replayed_records, lsn);
+  EXPECT_EQ(DigestOf(*fs.value()), digest);
+}
+
+// A segment from before zero-filling ends at its last frame. It recovers as
+// before, and writing resumes right after that frame.
+TEST(DurabilityTest, SegmentWithoutZeroTailStillRecovers) {
+  const std::string dir = TestDir("NoZeroTail");
+  DurabilityOptions opts;
+  opts.data_dir = dir;
+  const std::vector<Batch> batches = Workload();
+  const size_t half = batches.size() / 2;
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    for (size_t i = 0; i < half; ++i) {
+      ASSERT_TRUE(batches[i](*fs.value()).ok());
+      ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+    }
+  }
+  auto wals = ListFiles(dir, "wal-");
+  ASSERT_EQ(wals.size(), 1u);
+  const uint64_t frames = FrameBytes(ReadFileBytes(wals[0]));
+  fs_std::resize_file(wals[0], frames);  // the layout an appending writer left
+  {
+    auto store = DurableStore::Open(opts);
+    ASSERT_TRUE(store.ok());
+    auto fs = store.value()->Recover();
+    ASSERT_TRUE(fs.ok());
+    EXPECT_FALSE(store.value()->recovery_info().tail_truncated);
+    EXPECT_EQ(DigestOf(*fs.value()), CleanReplayDigest(half));
+    for (size_t i = half; i < batches.size(); ++i) {
+      ASSERT_TRUE(batches[i](*fs.value()).ok());
+      ASSERT_TRUE(store.value()->CommitFrom(*fs.value()).ok());
+    }
+  }
+  auto store = DurableStore::Open(opts);
+  ASSERT_TRUE(store.ok());
+  auto fs = store.value()->Recover();
+  ASSERT_TRUE(fs.ok());
+  EXPECT_FALSE(store.value()->recovery_info().tail_truncated);
+  EXPECT_EQ(store.value()->recovery_info().replayed_records, store.value()->last_lsn());
+  EXPECT_EQ(DigestOf(*fs.value()), CleanReplayDigest(batches.size()));
+  const std::vector<uint8_t> bytes = ReadFileBytes(wals[0]);
+  EXPECT_GT(FrameBytes(bytes), frames);
+  EXPECT_EQ(bytes.size(), WalSegmentFile::kFillChunk);
+}
+
+// FaultyFile counts frames, not appends: a fault at frame N leaves the same bytes
+// on disk whether every frame is its own append or a commit appends all its frames
+// at once, so a matrix row's N means the same under either writer.
+TEST(DurabilityTest, FaultyFileCountsFramesNotAppends) {
+  std::vector<std::vector<uint8_t>> frames(6);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    DurableStore::EncodeFrame(
+        i + 1,
+        JournalRecord{JournalOp::kFileWritten, i, "/f" + std::to_string(i),
+                      std::string(10 + 7 * i, 'x')},
+        frames[i]);
+  }
+  const std::vector<std::vector<size_t>> commits = {{0, 1}, {2, 3, 4}, {5}};
+  const std::vector<size_t> synced_before = {0, 0, 2, 2, 2, 5};  // frames, by frame
+  const std::string dir = TestDir("FaultyFileFrames");
+  for (const std::string kind : {"crash_after", "torn", "bitflip"}) {
+    for (size_t n = 1; n <= frames.size(); ++n) {
+      const std::string spec = kind + ":" + std::to_string(n);
+      SCOPED_TRACE(spec);
+      std::vector<uint8_t> on_disk[2];
+      for (const bool one_append_per_commit : {false, true}) {
+        const std::string path =
+            dir + "/" + kind + std::to_string(n) + (one_append_per_commit ? "c" : "f");
+        auto disk = WalSegmentFile::Open(path, 0);
+        ASSERT_TRUE(disk.ok());
+        FaultyFile file(std::move(disk).value(), path, FaultSpec::Parse(spec));
+        for (const auto& commit : commits) {
+          std::vector<uint8_t> batch;
+          for (size_t i : commit) {
+            if (one_append_per_commit) {
+              batch.insert(batch.end(), frames[i].begin(), frames[i].end());
+            } else {
+              ASSERT_TRUE(file.Append(frames[i].data(), frames[i].size()).ok());
+            }
+          }
+          if (one_append_per_commit) {
+            ASSERT_TRUE(file.Append(batch.data(), batch.size()).ok());
+          }
+          (void)file.Sync();
+        }
+        EXPECT_EQ(file.dead(), kind != "bitflip");
+        on_disk[one_append_per_commit ? 1 : 0] = ReadFileBytes(path);
+      }
+      EXPECT_EQ(on_disk[0], on_disk[1]);
+      bool truncated = false;
+      const size_t decoded = DurableStore::DecodeFrames(on_disk[1], &truncated, nullptr).size();
+      if (kind == "crash_after") {
+        EXPECT_EQ(decoded, synced_before[n - 1]);  // the commit holding frame N is lost
+        EXPECT_FALSE(truncated);
+      } else {
+        EXPECT_EQ(decoded, n - 1);  // frame N is torn or flipped
+        EXPECT_TRUE(truncated);
+      }
+    }
+  }
 }
 
 TEST(DurabilityTest, CleanStopRestartReplaysNothing) {
